@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRange
-from .module import ActionLabel, ModuleCategory, regular_module, validate_module
+from .module import ActionLabel, ModuleCategory, validate_module
 from .quiver import Edge, FusionQuiver, normalize
 from .ring import FusionRing, validate
 

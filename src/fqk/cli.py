@@ -22,7 +22,7 @@ from .reflect import (
     rank_two_order,
     sign_coherence,
 )
-from .unfold import components, is_finite_type, unfold
+from .unfold import is_finite_type, unfold
 
 
 class UsageError(Exception):
@@ -100,7 +100,7 @@ def _fmt_m(m) -> str:
 
 def cmd_validate(args) -> int:
     from .module import validate_module
-    from .ring import validate
+    from .ring import ValidationReport, validate
 
     if getattr(args, "module", None) or (
         getattr(args, "builtin", None)
@@ -110,7 +110,9 @@ def cmd_validate(args) -> int:
         rep = validate_module(M)
     else:
         ring = _get_ring(args)
-        rep = validate(ring)
+        # a catalog ring was validated when it was built, which raises on
+        # any violation, and ring validation emits no warnings
+        rep = ValidationReport() if getattr(args, "builtin", None) else validate(ring)
     _emit(
         args,
         {"ok": rep.ok, "violations": rep.violations, "warnings": rep.warnings},

@@ -8,15 +8,19 @@ the ring, ``act[i][l'][l]`` is the multiplicity of module-simple ``l'`` in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SignIncoherentInput
+from .errors import MissingAction, SignIncoherentInput
 from .ring import (
     FusionRing,
     RingElement,
     ValidationReport,
+    exact_array,
     perron_eigenpair,
+    row_blocks,
+    wide,
 )
 
 ModuleElement = tuple  # tuple[int, ...] over Irr(M)
@@ -81,9 +85,39 @@ class ModuleCategory:
     def zero(self) -> ModuleElement:
         return (0,) * self.msize
 
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """The action matrices as one (rank, msize, msize) integer array (see
+        exact_array; the width also covers the contraction with ring.N)."""
+        r, n = len(self.act), self.msize
+        return exact_array(self.act, (r, n, n), max(r, n))
+
     def act_matrix(self, i):
-        """Action matrix of ring simple i as a numpy object array."""
-        return np.array(self.act[i], dtype=object)
+        """Action matrix of ring simple i as an integer array."""
+        return wide(self.tensor[i])
+
+
+def _graph_components(n, edges):
+    """Connected components of the undirected graph on range(n) whose edges
+    are (u, v, ...) tuples; each component is a sorted vertex tuple."""
+    adj = [set() for _ in range(n)]
+    for u, v, *_ in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, comps = set(), []
+    for v in range(n):
+        if v in seen:
+            continue
+        seen.add(v)
+        comp, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            fresh = adj[u] - seen
+            seen |= fresh
+            stack.extend(fresh)
+        comps.append(tuple(sorted(comp)))
+    return comps
 
 
 def validate_module(M: ModuleCategory) -> ValidationReport:
@@ -99,43 +133,30 @@ def validate_module(M: ModuleCategory) -> ValidationReport:
             rep.violations.append(f"act[{i}] has wrong shape")
             return rep
         for row in M.act[i]:
-            if any(x < 0 for x in row):
+            if min(row, default=0) < 0:
                 rep.violations.append(f"act[{i}] has a negative entry")
 
-    mats = [M.act_matrix(i) for i in range(r)]
-
-    ident = np.eye(n, dtype=object)
-    if not np.array_equal(mats[ring.unit], ident):
+    A, N = wide(M.tensor), wide(ring.tensor)
+    if not np.array_equal(A[ring.unit], np.eye(n, dtype=np.int64)):
         rep.violations.append("act[unit] is not the identity")
 
-    for i in range(r):
-        for j in range(r):
-            lhs = mats[i].dot(mats[j])
-            rhs = np.zeros((n, n), dtype=object)
-            for k in range(r):
-                if ring.N[i][j][k]:
-                    rhs = rhs + ring.N[i][j][k] * mats[k]
-            if not np.array_equal(lhs, rhs):
-                rep.violations.append(f"action axiom fails at (i,j)=({i},{j})")
+    # act(S_i) act(S_j) against sum_k N[i][j][k] act(S_k), in blocks over i
+    for b in row_blocks(r, r * n * n):
+        bad = (A[b, None] @ A[None, :] != np.tensordot(N[b], A, 1)).any(axis=(2, 3))
+        rep.violations += [
+            f"action axiom fails at (i,j)=({b.start + i},{j})"
+            for i, j in np.argwhere(bad).tolist()
+        ]
 
-    for i in range(r):
-        if not np.array_equal(mats[ring.dual[i]], mats[i].T):
-            rep.violations.append(f"transpose law fails at simple {i}")
+    transposed = A[list(ring.dual)] != A.transpose(0, 2, 1)
+    rep.violations += [
+        f"transpose law fails at simple {i}"
+        for i in np.flatnonzero(transposed.any(axis=(1, 2))).tolist()
+    ]
 
     # connectedness of the union of action supports (warning only)
-    adj = np.zeros((n, n), dtype=bool)
-    for m in mats:
-        adj |= np.asarray(m, dtype=float) > 0
-    adj |= adj.T
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in range(n):
-            if adj[u][w] and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
+    support = (A > 0).any(axis=0)
+    if len(_graph_components(n, np.argwhere(support | support.T).tolist())) != 1:
         rep.warnings.append("module appears decomposable (action support disconnected)")
 
     return rep
@@ -143,20 +164,25 @@ def validate_module(M: ModuleCategory) -> ValidationReport:
 
 def regular_module(ring: FusionRing) -> ModuleCategory:
     """The ring acting on itself; act[i] is the left-multiplication matrix."""
-    act = tuple(
-        tuple(tuple(int(x) for x in row) for row in ring.left_mult_matrix(i))
-        for i in range(ring.rank)
-    )
-    return ModuleCategory(ring=ring, mnames=ring.names, act=act)
+    T = np.ascontiguousarray(ring.tensor.transpose(0, 2, 1))
+    T.setflags(write=False)
+    act = tuple(tuple(map(tuple, m)) for m in T.tolist())
+    M = ModuleCategory(ring=ring, mnames=ring.names, act=act)
+    M.__dict__["tensor"] = T  # fill the cached_property: same data, same width
+    return M
 
 
 def action_matrix_of(M: ModuleCategory, x: RingElement):
-    """Matrix of the action of a ring element on column vectors over Irr(M)."""
-    out = np.zeros((M.msize, M.msize), dtype=object)
+    """Matrix of the action of a ring element on column vectors over Irr(M),
+    as an object array of Python ints."""
+    A, out = M.tensor, None
     for i, c in enumerate(x):
         if c:
-            out = out + c * M.act_matrix(i)
-    return out
+            term = A[i].astype(object)
+            if c != 1:
+                term *= c
+            out = term if out is None else out + term
+    return np.zeros(A.shape[1:], dtype=object) if out is None else out
 
 
 def act_on(M: ModuleCategory, x: RingElement, u: ModuleElement) -> ModuleElement:
@@ -193,10 +219,7 @@ def nonzero_action_check(M: ModuleCategory, x: RingElement, u: ModuleElement) ->
 def module_fpdims(M: ModuleCategory) -> tuple:
     """Common Perron eigenvector of the action matrices, normalized so the
     smallest simple has dimension 1."""
-    total = np.zeros((M.msize, M.msize), dtype=float)
-    for i in range(M.ring.rank):
-        total += np.asarray(M.act_matrix(i), dtype=float)
-    _, v = perron_eigenpair(total)
+    _, v = perron_eigenpair(np.ascontiguousarray(M.tensor.sum(axis=0), dtype=float))
     return tuple(float(x) for x in v / v.min())
 
 
@@ -207,15 +230,15 @@ class OrdinaryQuiver:
     vertices: tuple  # names
     arrows: tuple  # (source index, target index, multiplicity)
 
-    def arrow_dict(self):
-        return {(s, t): m for s, t, m in self.arrows}
 
-
-def _label_matrix(M: ModuleCategory | None, label):
+def label_matrix(M: ModuleCategory | None, label):
+    """The action matrix of an edge label on Irr(M), as an object array of
+    Python ints: a partial-mode label's own matrix, or the action of a
+    ring-element label, which needs the module."""
     if isinstance(label, ActionLabel):
         return label.np_matrix()
     if M is None:
-        raise ValueError("ring-element label requires a module")
+        raise MissingAction("ring-element label with no module data")
     return action_matrix_of(M, label)
 
 
@@ -223,24 +246,12 @@ def mckay_quiver(M: ModuleCategory, label, separated: bool = False) -> OrdinaryQ
     """McKay quiver of the module with respect to a label: an arrow L -> L'
     with multiplicity equal to the action-matrix entry at (L', L), diagonal
     included.  Separated mode returns the bipartite doubling."""
-    mat = _label_matrix(M, label)
-    n = M.msize
-    if not separated:
-        vertices = tuple(M.mnames)
-        arrows = tuple(
-            (l, lp, int(mat[lp][l]))
-            for l in range(n)
-            for lp in range(n)
-            if mat[lp][l]
-        )
-        return OrdinaryQuiver(vertices=vertices, arrows=arrows)
-    vertices = tuple(f"s:{nm}" for nm in M.mnames) + tuple(
-        f"t:{nm}" for nm in M.mnames
-    )
+    mat = label_matrix(M, label)
+    shift = M.msize if separated else 0
     arrows = tuple(
-        (l, n + lp, int(mat[lp][l]))
-        for l in range(n)
-        for lp in range(n)
-        if mat[lp][l]
+        (l, shift + lp, int(mat[lp, l])) for l, lp in np.argwhere(mat.T).tolist()
     )
+    vertices = tuple(M.mnames)
+    if separated:
+        vertices = tuple(f"{side}:{nm}" for side in "st" for nm in vertices)
     return OrdinaryQuiver(vertices=vertices, arrows=arrows)

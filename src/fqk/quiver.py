@@ -10,7 +10,7 @@ from .errors import InconsistentVerdict, NotReflectable
 from .module import (
     ActionLabel,
     ModuleCategory,
-    action_matrix_of,
+    _graph_components,
     regular_module,
 )
 from .ring import (
@@ -199,30 +199,6 @@ class CoxeterClassification:
 
     def type_names(self) -> tuple:
         return tuple(c.type_name for c in self.components)
-
-
-def _graph_components(n, edges):
-    adj = {v: set() for v in range(n)}
-    for u, v, _ in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = set()
-    comps = []
-    for v in range(n):
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 def _posdef(gram, tol) -> bool:

@@ -5,7 +5,6 @@ vectors via root systems."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +20,7 @@ from .errors import (
 from .module import (
     ActionLabel,
     ModuleCategory,
-    action_matrix_of,
+    label_matrix,
     module_fpdims,
     regular_module,
     sign_class,
@@ -52,14 +51,6 @@ def dimvec_basis(nv: int, msize: int, v: int, coeff) -> tuple:
     """The dimension vector with module coefficient `coeff` at vertex v."""
     zero = (0,) * msize
     return tuple(tuple(coeff) if w == v else zero for w in range(nv))
-
-
-def dimvec_add(x, y):
-    return tuple(add(a, b) for a, b in zip(x, y))
-
-
-def dimvec_neg(x):
-    return tuple(tuple(-c for c in a) for a in x)
 
 
 def dimvec_is_positive(x) -> bool:
@@ -113,14 +104,6 @@ def real_bilinear_form(Q: FusionQuiver):
     return g
 
 
-def _edge_action_matrix(Q: FusionQuiver, M: ModuleCategory | None, label):
-    if isinstance(label, ActionLabel):
-        return label.np_matrix()
-    if M is None:
-        raise MissingAction("ring-element label with no module data")
-    return action_matrix_of(M, label)
-
-
 def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tuple:
     """Simple reflection at vertex v acting on a dimension vector: the
     coefficient at v becomes minus itself plus the (dual-)label actions on
@@ -130,10 +113,10 @@ def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tupl
     new_v = np.array([-c for c in x[v]], dtype=object)
     for e in Q.edges:
         if e.source == v:
-            mat = _edge_action_matrix(Q, M, e.label).T
+            mat = label_matrix(M, e.label).T
             new_v = new_v + mat.dot(np.array(x[e.target], dtype=object))
         elif e.target == v:
-            mat = _edge_action_matrix(Q, M, e.label)
+            mat = label_matrix(M, e.label)
             new_v = new_v + mat.dot(np.array(x[e.source], dtype=object))
     return tuple(
         tuple(int(c) for c in new_v) if w == v else x[w] for w in range(len(x))

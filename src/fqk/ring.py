@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,12 @@ RingElement = tuple  # tuple[int, ...] over the simple basis
 
 POWER_ITER_TOL = 1e-10
 POWER_ITER_CAP = 10**6
+
+# products are formed in int64 only while every sum of them the kernels form
+# stays below this; larger data runs the same code on Python ints
+INT64_SAFE = 2**62
+# entries per vectorized block of an axiom check, so memory stays O(r^3)
+BLOCK_ENTRIES = 2**16
 
 
 def default_tol() -> float:
@@ -59,6 +66,38 @@ def _derive_dual(names, unit, N):
     return tuple(dual)
 
 
+def exact_array(data, shape, width: int) -> np.ndarray:
+    """Nested integer data as one read-only array of the given shape.
+
+    While `width` * max|entry|**2 < INT64_SAFE, sums of `width` products of
+    two entries cannot wrap in int64; the entries (then below 2**31) are
+    stored in the narrowest integer type and widened to int64 by `wide`.
+    Otherwise the array holds Python ints (dtype=object)."""
+    try:
+        a = np.array(data, dtype=np.int64).reshape(shape)
+        big = max(int(a.max()), -int(a.min())) if a.size else 0
+    except OverflowError:
+        big = INT64_SAFE
+    if width * big * big < INT64_SAFE:
+        a = a.astype(np.int8 if big < 2**7 else np.int16 if big < 2**15 else np.int32)
+    else:
+        a = np.array(data, dtype=object).reshape(shape)
+    a.setflags(write=False)
+    return a
+
+
+def wide(a: np.ndarray) -> np.ndarray:
+    """An exact_array with its entries as int64, ready for products."""
+    return a if a.dtype == object else a.astype(np.int64)
+
+
+def row_blocks(rows: int, row_entries: int):
+    """Consecutive slices of range(rows), each covering about BLOCK_ENTRIES
+    entries (at least one row)."""
+    step = max(1, BLOCK_ENTRIES // max(1, row_entries))
+    return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
+
+
 @dataclass(frozen=True)
 class FusionRing:
     names: tuple
@@ -78,6 +117,12 @@ class FusionRing:
     def rank(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """N as one (rank, rank, rank) integer array (see exact_array)."""
+        r = self.rank
+        return exact_array(self.N, (r, r, r), r)
+
     def basis(self, i) -> RingElement:
         """The class of the i-th simple (index or name)."""
         if isinstance(i, str):
@@ -94,10 +139,7 @@ class FusionRing:
     def left_mult_matrix(self, i):
         """Matrix of left multiplication by simple i on column coefficient
         vectors: entry [k][j] = N[i][j][k]."""
-        return np.array(
-            [[self.N[i][j][k] for j in range(self.rank)] for k in range(self.rank)],
-            dtype=object,
-        )
+        return wide(self.tensor[i].T)
 
 
 def validate(ring: FusionRing) -> ValidationReport:
@@ -115,54 +157,53 @@ def validate(ring: FusionRing) -> ValidationReport:
             rep.violations.append(f"N[{i}] has wrong shape")
             return rep
 
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if N[i][j][k] < 0:
-                    rep.violations.append(f"negative multiplicity N[{i}][{j}][{k}]")
+    T = wide(ring.tensor)
+    rep.violations += [
+        f"negative multiplicity N[{i}][{j}][{k}]"
+        for i, j, k in np.argwhere(T < 0).tolist()
+    ]
 
     # unit law
-    for j in range(r):
-        for k in range(r):
-            want = 1 if j == k else 0
-            if N[unit][j][k] != want:
-                rep.violations.append(f"unit law fails at N[unit][{j}][{k}]")
-            if N[j][unit][k] != want:
-                rep.violations.append(f"unit law fails at N[{j}][unit][{k}]")
+    eye = np.eye(r, dtype=np.int64)
+    left, right = T[unit] != eye, T[:, unit] != eye
+    for j, k in np.argwhere(left | right).tolist():
+        if left[j, k]:
+            rep.violations.append(f"unit law fails at N[unit][{j}][{k}]")
+        if right[j, k]:
+            rep.violations.append(f"unit law fails at N[{j}][unit][{k}]")
 
-    # associativity
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    lhs = sum(N[i][j][m] * N[m][k][l] for m in range(r))
-                    rhs = sum(N[j][k][m] * N[i][m][l] for m in range(r))
-                    if lhs != rhs:
-                        rep.violations.append(
-                            f"associativity fails at (i,j,k,l)=({i},{j},{k},{l})"
-                        )
+    # associativity: (S_i S_j) S_k against S_i (S_j S_k), in blocks over i
+    for b in row_blocks(r, r**3):
+        lhs = T[b].reshape(-1, r) @ T.reshape(r, r * r)
+        rhs = T.reshape(r * r, r) @ T[b]
+        bad = lhs.reshape(-1, r, r, r) != rhs.reshape(-1, r, r, r)
+        rep.violations += [
+            f"associativity fails at (i,j,k,l)=({b.start + i},{j},{k},{l})"
+            for i, j, k, l in np.argwhere(bad).tolist()
+        ]
 
     # dual involution and rigidity
     if sorted(dual) != list(range(r)):
         rep.violations.append("dual is not a permutation")
         return rep
-    for i in range(r):
-        if dual[dual[i]] != i:
-            rep.violations.append(f"dual not involutive at {i}")
+    d = np.array(dual, dtype=np.intp)
+    rep.violations += [
+        f"dual not involutive at {i}"
+        for i in np.flatnonzero(d[d] != np.arange(r)).tolist()
+    ]
     if dual[unit] != unit:
         rep.violations.append("dual(unit) != unit")
-    for i in range(r):
-        for j in range(r):
-            want = 1 if j == dual[i] else 0
-            if N[i][j][unit] != want:
-                rep.violations.append(f"rigidity fails at N[{i}][{j}][unit]")
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if N[i][j][k] != N[dual[j]][dual[i]][dual[k]]:
-                    rep.violations.append(
-                        f"dual symmetry fails at ({i},{j},{k})"
-                    )
+    want = np.zeros((r, r), dtype=np.int64)
+    want[np.arange(r), d] = 1
+    rep.violations += [
+        f"rigidity fails at N[{i}][{j}][unit]"
+        for i, j in np.argwhere(T[:, :, unit] != want).tolist()
+    ]
+    mirror = T[np.ix_(d, d, d)].transpose(1, 0, 2)
+    rep.violations += [
+        f"dual symmetry fails at ({i},{j},{k})"
+        for i, j, k in np.argwhere(T != mirror).tolist()
+    ]
     return rep
 
 
@@ -242,12 +283,10 @@ def fpdim(ring: FusionRing, tol: float | None = None) -> FPVector:
     normalized so the unit has dimension 1; entry i is FPdim of simple i."""
     if tol is None:
         tol = default_tol()
-    total = np.zeros((ring.rank, ring.rank), dtype=float)
-    mats = []
-    for i in range(ring.rank):
-        m = np.asarray(ring.left_mult_matrix(i), dtype=float)
-        mats.append(m)
-        total += m
+    # one contiguous float copy per simple: a transposed view would change
+    # the last bits of m @ v
+    mats = [np.ascontiguousarray(m.T, dtype=float) for m in ring.tensor]
+    total = np.ascontiguousarray(ring.tensor.sum(axis=0).T, dtype=float)
     _, v = perron_eigenpair(total)
     v = v / v[ring.unit]
     # per-simple eigenvalue extraction: LeftMult(S_i) v = d_i v

@@ -11,12 +11,11 @@ from .errors import (
     InfiniteComponent,
     MissingAction,
 )
-from .module import ActionLabel, ModuleCategory, OrdinaryQuiver, action_matrix_of
+from .module import ModuleCategory, _graph_components, label_matrix
 from .quiver import (
     CoxeterClassification,
     FusionQuiver,
     _coxeter_pattern,
-    _graph_components,
     classify_coxeter,
     labeled_graph,
 )
@@ -53,17 +52,6 @@ class UnfoldedQuiver:
     def index(self, v: int, l: int) -> int:
         return v * len(self.mnames) + l
 
-    def as_ordinary(self) -> OrdinaryQuiver:
-        return OrdinaryQuiver(vertices=self.vertex_names(), arrows=self.arrows)
-
-
-def _edge_matrix(Q: FusionQuiver, M: ModuleCategory | None, label):
-    if isinstance(label, ActionLabel):
-        return label.matrix
-    if M is None:
-        raise MissingAction("ring-element label with no module data")
-    return tuple(tuple(int(x) for x in row) for row in action_matrix_of(M, label))
-
 
 def unfold(Q: FusionQuiver, M: ModuleCategory | None = None) -> UnfoldedQuiver:
     """The ordinary quiver on pairs (vertex, module simple): an arrow
@@ -76,14 +64,15 @@ def unfold(Q: FusionQuiver, M: ModuleCategory | None = None) -> UnfoldedQuiver:
     vertices = tuple((v, l) for v in range(Q.nv) for l in range(n))
     arrows = []
     for e in Q.edges:
-        mat = _edge_matrix(Q, M, e.label)
+        mat = label_matrix(M, e.label)
         if len(mat) != n:
             raise MissingAction("label matrix size does not match module")
-        for l in range(n):
-            for lp in range(n):
-                mult = mat[lp][l]
-                if mult:
-                    arrows.append((e.source * n + l, e.target * n + lp, int(mult)))
+        for l, column in enumerate(mat.T.tolist()):
+            arrows += [
+                (e.source * n + l, e.target * n + lp, m)
+                for lp, m in enumerate(column)
+                if m
+            ]
     return UnfoldedQuiver(
         qvertices=tuple(Q.vertices),
         mnames=tuple(mnames),

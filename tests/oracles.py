@@ -1,0 +1,151 @@
+"""Brute-force reference implementations of the ring and module kernels.
+
+These are the original element-by-element loops over the nested-tuple data.
+The vectorized kernels in `fqk.ring` and `fqk.module` must reproduce their
+reports entry for entry, in the same order, and their FP dimensions bit for
+bit.
+"""
+
+import numpy as np
+
+from fqk.ring import FPVector, ValidationReport, default_tol, perron_eigenpair
+
+
+def _left_mult(ring, i):
+    r = ring.rank
+    return np.array([[ring.N[i][j][k] for j in range(r)] for k in range(r)], dtype=object)
+
+
+def loop_validate(ring) -> ValidationReport:
+    rep = ValidationReport()
+    r = ring.rank
+    N, unit, dual = ring.N, ring.unit, ring.dual
+
+    if len(ring.names) != r or len(N) != r or len(dual) != r:
+        rep.violations.append("inconsistent rank across fields")
+        return rep
+    for i in range(r):
+        if len(N[i]) != r or any(len(N[i][j]) != r for j in range(r)):
+            rep.violations.append(f"N[{i}] has wrong shape")
+            return rep
+
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if N[i][j][k] < 0:
+                    rep.violations.append(f"negative multiplicity N[{i}][{j}][{k}]")
+
+    for j in range(r):
+        for k in range(r):
+            want = 1 if j == k else 0
+            if N[unit][j][k] != want:
+                rep.violations.append(f"unit law fails at N[unit][{j}][{k}]")
+            if N[j][unit][k] != want:
+                rep.violations.append(f"unit law fails at N[{j}][unit][{k}]")
+
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                for l in range(r):
+                    lhs = sum(N[i][j][m] * N[m][k][l] for m in range(r))
+                    rhs = sum(N[j][k][m] * N[i][m][l] for m in range(r))
+                    if lhs != rhs:
+                        rep.violations.append(
+                            f"associativity fails at (i,j,k,l)=({i},{j},{k},{l})"
+                        )
+
+    if sorted(dual) != list(range(r)):
+        rep.violations.append("dual is not a permutation")
+        return rep
+    for i in range(r):
+        if dual[dual[i]] != i:
+            rep.violations.append(f"dual not involutive at {i}")
+    if dual[unit] != unit:
+        rep.violations.append("dual(unit) != unit")
+    for i in range(r):
+        for j in range(r):
+            want = 1 if j == dual[i] else 0
+            if N[i][j][unit] != want:
+                rep.violations.append(f"rigidity fails at N[{i}][{j}][unit]")
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if N[i][j][k] != N[dual[j]][dual[i]][dual[k]]:
+                    rep.violations.append(f"dual symmetry fails at ({i},{j},{k})")
+    return rep
+
+
+def loop_validate_module(M) -> ValidationReport:
+    rep = ValidationReport()
+    ring = M.ring
+    r, n = ring.rank, M.msize
+
+    if len(M.act) != r:
+        rep.violations.append("number of action matrices != ring rank")
+        return rep
+    for i in range(r):
+        if len(M.act[i]) != n or any(len(row) != n for row in M.act[i]):
+            rep.violations.append(f"act[{i}] has wrong shape")
+            return rep
+        for row in M.act[i]:
+            if any(x < 0 for x in row):
+                rep.violations.append(f"act[{i}] has a negative entry")
+
+    mats = [np.array(M.act[i], dtype=object) for i in range(r)]
+
+    if not np.array_equal(mats[ring.unit], np.eye(n, dtype=object)):
+        rep.violations.append("act[unit] is not the identity")
+
+    for i in range(r):
+        for j in range(r):
+            lhs = mats[i].dot(mats[j])
+            rhs = np.zeros((n, n), dtype=object)
+            for k in range(r):
+                if ring.N[i][j][k]:
+                    rhs = rhs + ring.N[i][j][k] * mats[k]
+            if not np.array_equal(lhs, rhs):
+                rep.violations.append(f"action axiom fails at (i,j)=({i},{j})")
+
+    for i in range(r):
+        if not np.array_equal(mats[ring.dual[i]], mats[i].T):
+            rep.violations.append(f"transpose law fails at simple {i}")
+
+    adj = np.zeros((n, n), dtype=bool)
+    for m in mats:
+        adj |= np.asarray(m, dtype=float) > 0
+    adj |= adj.T
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in range(n):
+            if adj[u][w] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != n:
+        rep.warnings.append("module appears decomposable (action support disconnected)")
+    return rep
+
+
+def loop_fpdim(ring, tol=None) -> FPVector:
+    if tol is None:
+        tol = default_tol()
+    total = np.zeros((ring.rank, ring.rank), dtype=float)
+    mats = []
+    for i in range(ring.rank):
+        m = np.asarray(_left_mult(ring, i), dtype=float)
+        mats.append(m)
+        total += m
+    _, v = perron_eigenpair(total)
+    v = v / v[ring.unit]
+    k = int(np.argmax(v))
+    dims = tuple(float((m @ v)[k] / v[k]) for m in mats)
+    return FPVector(dims=dims, tol=tol)
+
+
+def loop_module_fpdims(M) -> tuple:
+    total = np.zeros((M.msize, M.msize), dtype=float)
+    for i in range(M.ring.rank):
+        total += np.asarray(np.array(M.act[i], dtype=object), dtype=float)
+    _, v = perron_eigenpair(total)
+    return tuple(float(x) for x in v / v.min())

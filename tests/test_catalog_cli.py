@@ -109,6 +109,31 @@ class TestCLI:
         assert cli.main(["validate", "--builtin", "fibonacci"]) == 0
         assert "valid" in capsys.readouterr().out.lower()
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_validate_builtin_ring_validates_once(self, monkeypatch, capsys, fmt):
+        import fqk.catalog
+        import fqk.ring
+
+        calls, validate = [], fqk.ring.validate
+
+        def counting(ring):
+            calls.append(ring.rank)
+            return validate(ring)
+
+        monkeypatch.setattr(fqk.catalog, "validate", counting)
+        monkeypatch.setattr(fqk.ring, "validate", counting)
+        fqk.catalog.verlinde_sl2.cache_clear()
+        try:
+            assert cli.main(["validate", "--builtin", "verlinde_sl2", "5", *fmt]) == 0
+        finally:
+            fqk.catalog.verlinde_sl2.cache_clear()
+        assert calls == [6]
+        out = capsys.readouterr().out
+        if fmt:
+            assert json.loads(out) == {"ok": True, "violations": [], "warnings": []}
+        else:
+            assert out == "valid\n"
+
     def test_fpdim_table_and_json(self, capsys):
         assert cli.main(["fpdim", "--builtin", "fibonacci"]) == 0
         out = capsys.readouterr().out
