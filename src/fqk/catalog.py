@@ -24,7 +24,7 @@ def _checked_ring(names, unit, N, dual=None) -> FusionRing:
 def _checked_module(ring, mnames, act) -> ModuleCategory:
     M = ModuleCategory.from_data(ring, mnames, act)
     rep = validate_module(M)
-    if not rep.ok:
+    if not rep.ok or rep.warnings:
         raise ValueError(f"builtin module failed validation:\n{rep}")
     return M
 

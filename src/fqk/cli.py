@@ -102,17 +102,17 @@ def cmd_validate(args) -> int:
     from .module import validate_module
     from .ring import ValidationReport, validate
 
+    builtin = getattr(args, "builtin", None)
     if getattr(args, "module", None) or (
-        getattr(args, "builtin", None)
-        and cat.catalog_kind(args.builtin[0]) == "module"
+        builtin and cat.catalog_kind(builtin[0]) == "module"
     ):
-        M = _get_module(args)
-        rep = validate_module(M)
+        check, obj = validate_module, _get_module(args)
+        builtin = builtin and not args.module  # a module file comes first
     else:
-        ring = _get_ring(args)
-        # a catalog ring was validated when it was built, which raises on
-        # any violation, and ring validation emits no warnings
-        rep = ValidationReport() if getattr(args, "builtin", None) else validate(ring)
+        check, obj = validate, _get_ring(args)
+    # a catalog ring or module was validated when it was built, which raises
+    # on any violation or warning
+    rep = ValidationReport() if builtin else check(obj)
     _emit(
         args,
         {"ok": rep.ok, "violations": rep.violations, "warnings": rep.warnings},

@@ -99,12 +99,13 @@ class ModuleCategory:
 
 def _graph_components(n, edges):
     """Connected components of the undirected graph on range(n) whose edges
-    are (u, v, ...) tuples; each component is a sorted vertex tuple."""
+    are (u, v, ...) tuples, in order of their least vertex: pairs of the
+    sorted vertex tuple and the list of the component's edges."""
     adj = [set() for _ in range(n)]
     for u, v, *_ in edges:
         adj[u].add(v)
         adj[v].add(u)
-    seen, comps = set(), []
+    seen, comps, where = set(), [], [0] * n
     for v in range(n):
         if v in seen:
             continue
@@ -113,10 +114,13 @@ def _graph_components(n, edges):
         while stack:
             u = stack.pop()
             comp.append(u)
+            where[u] = len(comps)
             fresh = adj[u] - seen
             seen |= fresh
             stack.extend(fresh)
-        comps.append(tuple(sorted(comp)))
+        comps.append((tuple(sorted(comp)), []))
+    for e in edges:
+        comps[where[e[0]]][1].append(e)
     return comps
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import InconsistentVerdict, NotReflectable
+from .errors import InconsistentVerdict, NotReflectable, OutOfRange
 from .module import (
     ActionLabel,
     ModuleCategory,
@@ -39,6 +39,16 @@ class FusionQuiver:
     ring: FusionRing | None = None
     module: ModuleCategory | None = None
     mnames: tuple | None = None  # display names for partial mode
+
+    def __post_init__(self):
+        rank = None if self.ring is None else self.ring.rank
+        for e in self.edges:
+            if not (0 <= e.source < self.nv and 0 <= e.target < self.nv):
+                raise OutOfRange(
+                    f"edge {e.source} -> {e.target} has an endpoint outside range({self.nv})"
+                )
+            if rank is not None and not isinstance(e.label, ActionLabel) and len(e.label) != rank:
+                raise OutOfRange(f"label {e.label} has length {len(e.label)}, not rank {rank}")
 
     @property
     def nv(self) -> int:
@@ -221,6 +231,8 @@ def _coxeter_pattern(comp, edges):
     `comp` is the sorted vertex tuple; `edges` the (u, v, m) list restricted
     to it."""
     n = len(comp)
+    if any(u == v for u, v, _ in edges):
+        return None  # a loop puts 2 - 2 FPdim <= 0 on the Gram diagonal
     if n == 1:
         return "A1", 2
     if any(m == INFINITY for _, _, m in edges):
@@ -303,16 +315,14 @@ def classify_coxeter(G, tol: float | None = None) -> CoxeterClassification:
             )
             for u, v, m in G.edges
         }
-    comps = _graph_components(len(G.vertices), G.edges)
     out = []
-    for comp in comps:
+    for comp, sub in _graph_components(len(G.vertices), G.edges):
         idx = {v: i for i, v in enumerate(comp)}
-        sub = [(u, v, m) for u, v, m in G.edges if u in idx and v in idx]
         gram = [[2.0 if i == j else 0.0 for j in comp] for i in comp]
         for u, v, _ in sub:
             f = gram_label[(min(u, v), max(u, v))]
-            gram[idx[u]][idx[v]] = -f
-            gram[idx[v]][idx[u]] = -f
+            gram[idx[u]][idx[v]] -= f
+            gram[idx[v]][idx[u]] -= f
         pd = _posdef(gram, tol)
         named = _coxeter_pattern(comp, sub)
         if (named is not None) != pd:

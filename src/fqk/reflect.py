@@ -5,6 +5,7 @@ vectors via root systems."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +40,7 @@ from .ring import (
     scale,
     sub,
 )
-from .unfold import positive_roots_simply_laced, unfold
+from .unfold import _cross_checked, positive_roots_simply_laced, unfold
 
 ORBIT_GROWTH_STREAK = 50
 
@@ -104,23 +105,34 @@ def real_bilinear_form(Q: FusionQuiver):
     return g
 
 
+def _vertex_actions(Q: FusionQuiver, M: ModuleCategory | None) -> list:
+    """Per vertex v, the (neighbor, matrix rows) pairs of the reflection at
+    v: the transposed label matrix for an arrow out of v, the label matrix
+    for an arrow into v.  A loop counts once, through its dual action."""
+    if M is None and not Q.partial_mode:
+        M = Q.resolved_module()
+    acts = [[] for _ in range(Q.nv)]
+    for e in Q.edges:
+        mat = label_matrix(M, e.label)
+        acts[e.source].append((e.target, mat.T.tolist()))
+        if e.target != e.source:
+            acts[e.target].append((e.source, mat.tolist()))
+    return acts
+
+
+def _reflect(acts, v: int, x: tuple) -> tuple:
+    """reflect_dimvec at v, on the vertex actions of _vertex_actions."""
+    new_v = [-c for c in x[v]]
+    for w, rows in acts[v]:
+        new_v = [a + sum(map(operator.mul, row, x[w])) for a, row in zip(new_v, rows)]
+    return x[:v] + (tuple(new_v),) + x[v + 1:]
+
+
 def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tuple:
     """Simple reflection at vertex v acting on a dimension vector: the
     coefficient at v becomes minus itself plus the (dual-)label actions on
     the neighboring coefficients; an involution."""
-    if M is None and not Q.partial_mode:
-        M = Q.resolved_module()
-    new_v = np.array([-c for c in x[v]], dtype=object)
-    for e in Q.edges:
-        if e.source == v:
-            mat = label_matrix(M, e.label).T
-            new_v = new_v + mat.dot(np.array(x[e.target], dtype=object))
-        elif e.target == v:
-            mat = label_matrix(M, e.label)
-            new_v = new_v + mat.dot(np.array(x[e.source], dtype=object))
-    return tuple(
-        tuple(int(c) for c in new_v) if w == v else x[w] for w in range(len(x))
-    )
+    return _reflect(_vertex_actions(Q, M), v, tuple(x))
 
 
 def dimvec_fpdim(M: ModuleCategory, x, mu=None):
@@ -334,14 +346,14 @@ def _two_vertex_quiver(ring, pi, module):
     )
 
 
-def _orbit_size(Q, M, start, cap, mu=None, fp_label=None):
+def _orbit_size(acts, start, cap, mu=None):
     """Size of the orbit of sigma_a sigma_b on a dimension vector, with an
     FP-norm growth streak as an early infinite-order certificate."""
     x = start
     streak = 0
     prev_norm = None
     for step in range(1, cap + 1):
-        x = reflect_dimvec(Q, M, 0, reflect_dimvec(Q, M, 1, x))
+        x = _reflect(acts, 0, _reflect(acts, 1, x))
         if x == start:
             return step
         if mu is not None:
@@ -382,13 +394,13 @@ def rank_two_order(ring: FusionRing | None, pi, module: ModuleCategory | None = 
         K = 2 * results["angle"] + 2 if results["angle"] != INFINITY else 50
         results["qnum"] = sign_coherence(ring, pi, K).minimal_m
 
-    Q = _two_vertex_quiver(ring, pi, module)
+    acts = _vertex_actions(_two_vertex_quiver(ring, pi, module), M)
     mu = module_fpdims(M) if M is not None else tuple([1.0] * msize)
     cap = max(1000, 4 * results["angle"]) if results["angle"] != INFINITY else 1000
     orbit_sizes = set()
     for l in range(msize):
         start = dimvec_basis(2, msize, 0, tuple(1 if j == l else 0 for j in range(msize)))
-        orbit_sizes.add(_orbit_size(Q, M, start, cap, mu=mu))
+        orbit_sizes.add(_orbit_size(acts, start, cap, mu=mu))
     if len(orbit_sizes) != 1:
         raise InconsistentVerdict(f"orbit sizes differ across simples: {orbit_sizes}")
     results["orbit"] = orbit_sizes.pop()
@@ -463,13 +475,11 @@ def x_ell_dimvec(ring: FusionRing, M: ModuleCategory, pi, L, ell: int):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def fold_root(U, root) -> tuple:
+def fold_root(U, root: tuple) -> tuple:
     """Fold an unfolded positive root back to a dimension vector: the module
     coefficient at quiver vertex v collects the root entries over (v, L)."""
-    nq, nm = len(U.qvertices), len(U.mnames)
-    return tuple(
-        tuple(root[v * nm + l] for l in range(nm)) for v in range(nq)
-    )
+    nm = len(U.mnames)
+    return tuple(root[v * nm:(v + 1) * nm] for v in range(len(U.qvertices)))
 
 
 def unfold_coords(x) -> tuple:
@@ -481,14 +491,29 @@ def enumerate_indecomposables(Q: FusionQuiver, M: ModuleCategory | None = None):
     """Dimension vectors of all indecomposable representations of a
     finite-type quiver: positive roots of the unfolding, folded back, sorted
     lexicographically."""
-    from .unfold import is_finite_type
-
-    verdict = is_finite_type(Q, M)
-    if not verdict.finite:
-        raise InfiniteType("quiver is of infinite representation type")
     U = unfold(Q, M)
+    if not _cross_checked(Q, U).finite:
+        raise InfiniteType("quiver is of infinite representation type")
     roots = positive_roots_simply_laced(U)
     return sorted(fold_root(U, r) for r in roots)
+
+
+def _closure(Q, M, starts, keep, cap: int, what: str) -> set:
+    """The vectors reached from `starts` by simple reflections through
+    vectors that pass `keep`."""
+    acts = _vertex_actions(Q, M)
+    seen = set(starts)
+    frontier = list(starts)
+    while frontier:
+        x = frontier.pop()
+        for v in range(Q.nv):
+            y = _reflect(acts, v, x)
+            if y not in seen and keep(y):
+                seen.add(y)
+                frontier.append(y)
+                if len(seen) > cap:
+                    raise InfiniteType(f"{what} exceeded the vector cap")
+    return seen
 
 
 def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None, cap: int = 10**6):
@@ -498,23 +523,12 @@ def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None, cap: 
     if M is None:
         M = Q.resolved_module()
     msize = M.msize if M is not None else len(Q.module_names())
-    found = set()
-    frontier = []
-    for v in range(Q.nv):
-        for l in range(msize):
-            x = dimvec_basis(Q.nv, msize, v, tuple(1 if j == l else 0 for j in range(msize)))
-            found.add(x)
-            frontier.append(x)
-    while frontier:
-        x = frontier.pop()
-        for v in range(Q.nv):
-            y = reflect_dimvec(Q, M, v, x)
-            if y not in found and dimvec_is_positive(y):
-                found.add(y)
-                frontier.append(y)
-                if len(found) > cap:
-                    raise InfiniteType("closure exceeded the vector cap")
-    return sorted(found)
+    starts = [
+        dimvec_basis(Q.nv, msize, v, tuple(1 if j == l else 0 for j in range(msize)))
+        for v in range(Q.nv)
+        for l in range(msize)
+    ]
+    return sorted(_closure(Q, M, starts, dimvec_is_positive, cap, "closure"))
 
 
 @dataclass(frozen=True)
@@ -533,25 +547,8 @@ def extended_positive_roots(Q: FusionQuiver) -> ExtendedRootReport:
     ring = Q.ring
     M = regular_module(ring)
     starts = [dimvec_basis(Q.nv, ring.rank, v, ring.one) for v in range(Q.nv)]
-
-    seen = set()
-    positives = set()
-    frontier = list(starts)
-    for x in starts:
-        seen.add(x)
-        if dimvec_is_positive(x):
-            positives.add(x)
-    while frontier:
-        x = frontier.pop()
-        for v in range(Q.nv):
-            y = reflect_dimvec(Q, M, v, x)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-                if dimvec_is_positive(y):
-                    positives.add(y)
-                if len(seen) > 10**6:
-                    raise InfiniteType("orbit closure exceeded the vector cap")
+    orbit = _closure(Q, M, starts, lambda y: True, 10**6, "orbit closure")
+    positives = {x for x in orbit if dimvec_is_positive(x)}
 
     orbits = []
     extended = set()

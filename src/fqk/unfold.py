@@ -116,18 +116,14 @@ def _undirected_mult(arrows):
     return acc
 
 
-def components(U: UnfoldedQuiver) -> ComponentReport:
-    """Connected components of the underlying undirected multigraph, each
-    recognized as a finite ADE type (path / branched-tree arm analysis) or
-    reported infinite."""
-    und = _undirected_mult(U.arrows)
-    edges = [(u, v, m) for (u, v), m in und.items()]
-    comps = _graph_components(U.nv, edges)
+def components(U) -> ComponentReport:
+    """Connected components of the underlying undirected multigraph of an
+    unfolded or ordinary quiver, each recognized as a finite ADE type (path /
+    branched-tree arm analysis) or reported infinite."""
+    edges = [(u, v, m) for (u, v), m in _undirected_mult(U.arrows).items()]
     out = []
-    for comp in comps:
-        inside = {v for v in comp}
-        sub = [(u, v, m) for u, v, m in edges if u in inside]
-        simply_laced = all(m == 1 for _, _, m in sub) and all(u != v for u, v, _ in sub)
+    for comp, sub in _graph_components(len(U.vertices), edges):
+        simply_laced = all(m == 1 and u != v for u, v, m in sub)
         named = None
         if simply_laced:
             named = _coxeter_pattern(comp, [(u, v, 3) for u, v, _ in sub])
@@ -137,17 +133,14 @@ def components(U: UnfoldedQuiver) -> ComponentReport:
             )
             continue
         name, h = named
-        if name.startswith("A"):
-            roots = ADE_ROOT_COUNTS["A"](len(comp))
-        elif name.startswith("D"):
-            roots = ADE_ROOT_COUNTS["D"](len(comp))
-        elif name in ("E6", "E7", "E8"):
+        if name[0] in "AD":
+            roots = ADE_ROOT_COUNTS[name[0]](len(comp))
+        elif name in ADE_ROOT_COUNTS:
             roots = ADE_ROOT_COUNTS[name]
         else:
             # simply laced labels can only pattern-match A/D/E
             raise InconsistentVerdict(f"unexpected simply laced type {name}")
         out.append(UnfoldedComponent(comp, True, name, True, h, roots))
-    out.sort(key=lambda c: c.vertices[0])
     return ComponentReport(components=tuple(out))
 
 
@@ -168,8 +161,12 @@ def is_finite_type(Q: FusionQuiver, M: ModuleCategory | None = None) -> FiniteTy
     """Decide finite representation type two independent ways — via the
     Coxeter graph (module-free) and via ADE recognition of the unfolded
     components — and cross-check them per Coxeter-graph component."""
+    return _cross_checked(Q, unfold(Q, M))
+
+
+def _cross_checked(Q: FusionQuiver, U: UnfoldedQuiver) -> FiniteTypeVerdict:
+    """is_finite_type on the unfolding U of Q."""
     gamma = classify_coxeter(labeled_graph(Q))
-    U = unfold(Q, M)
     rep = components(U)
 
     # map each unfolded component to the Coxeter-graph component of its
@@ -205,59 +202,45 @@ def is_finite_type(Q: FusionQuiver, M: ModuleCategory | None = None) -> FiniteTy
     return FiniteTypeVerdict(finite=gamma.finite, gamma=gamma, unfolded=rep)
 
 
-def _adjacency_sets(nv, arrows):
-    und = _undirected_mult(arrows)
-    adj = [set() for _ in range(nv)]
-    for (u, v), m in und.items():
-        if m >= 2 or u == v:
-            raise InfiniteComponent(
-                "root closure requires a simply laced simple graph"
-            )
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def positive_roots_simply_laced(U) -> frozenset:
-    """All positive roots of a (disjoint union of) finite ADE quiver(s), by
-    reflection closure from the simple roots: repeatedly apply
-    x -> x - (2 x_i - sum of neighbor entries) e_i, keeping vectors with all
-    entries non-negative."""
-    if isinstance(U, UnfoldedQuiver):
-        rep = components(U)
-        if not rep.finite:
-            raise InfiniteComponent("some component is not finite ADE")
-        expected = rep.total_root_count()
-        nv, arrows = U.nv, U.arrows
-    else:
-        nv, arrows = len(U.vertices), U.arrows
-        expected = None
-    adj = _adjacency_sets(nv, arrows)
-
-    roots = set()
-    frontier = []
-    for i in range(nv):
-        e = tuple(1 if k == i else 0 for k in range(nv))
-        roots.add(e)
-        frontier.append(e)
-    while frontier:
-        x = frontier.pop()
-        for i in range(nv):
-            c = 2 * x[i] - sum(x[j] for j in adj[i])
-            if c == 0:
-                continue
-            y = list(x)
-            y[i] -= c
-            if y[i] < 0:
-                continue
-            y = tuple(y)
-            if y not in roots:
-                roots.add(y)
-                frontier.append(y)
-                if len(roots) > ROOT_CLOSURE_CAP:
-                    raise InfiniteComponent("root closure exceeded the cap")
-    if expected is not None and len(roots) != expected:
-        raise InconsistentVerdict(
-            f"closure found {len(roots)} roots, table says {expected}"
-        )
+    """All positive roots of a disjoint union of finite ADE quivers (an
+    unfolded or an ordinary quiver).  Each component is closed from its simple
+    roots, in its own coordinates, under the reflections
+    x -> x - (2 x_i - sum of neighbor entries) e_i that raise x_i; the
+    closure must reach the table's root count, and is then embedded."""
+    rep = components(U)
+    if not rep.finite:
+        raise InfiniteComponent("some component is not finite ADE")
+    if rep.total_root_count() > ROOT_CLOSURE_CAP:
+        raise InfiniteComponent("root closure exceeded the cap")
+    nv = len(U.vertices)
+    adj = [[] for _ in range(nv)]
+    for s, t, _ in U.arrows:  # finite components are simple graphs
+        adj[s].append(t)
+        adj[t].append(s)
+    roots = []
+    for c in rep.components:
+        local = {v: i for i, v in enumerate(c.vertices)}
+        nbrs = [[local[w] for w in adj[v]] for v in c.vertices]
+        k, want = len(nbrs), c.positive_root_count
+        found = {tuple(int(i == j) for j in range(k)) for i in range(k)}
+        frontier = list(found)
+        while frontier and len(found) <= want:
+            x = frontier.pop()
+            for i, around in enumerate(nbrs):
+                yi = sum(x[j] for j in around) - x[i]
+                if yi > x[i]:
+                    y = x[:i] + (yi,) + x[i + 1:]
+                    if y not in found:
+                        found.add(y)
+                        frontier.append(y)
+        if len(found) != want:
+            raise InconsistentVerdict(
+                f"closure found {len(found)} roots on {c.type_name}, table says {want}"
+            )
+        for x in found:
+            y = [0] * nv
+            for v, a in zip(c.vertices, x):
+                y[v] = a
+            roots.append(tuple(y))
     return frozenset(roots)

@@ -1,13 +1,18 @@
-"""Brute-force reference implementations of the ring and module kernels.
+"""Brute-force reference implementations of the ring, module, root-closure
+and reflection kernels.
 
 These are the original element-by-element loops over the nested-tuple data.
 The vectorized kernels in `fqk.ring` and `fqk.module` must reproduce their
 reports entry for entry, in the same order, and their FP dimensions bit for
-bit.
+bit.  The per-component root closure in `fqk.unfold` must give the roots of
+the global-coordinate closure, and the reflection in `fqk.reflect` must
+agree with the per-edge action below.
 """
 
 import numpy as np
 
+from fqk.errors import InfiniteComponent
+from fqk.module import label_matrix
 from fqk.ring import FPVector, ValidationReport, default_tol, perron_eigenpair
 
 
@@ -149,3 +154,61 @@ def loop_module_fpdims(M) -> tuple:
         total += np.asarray(np.array(M.act[i], dtype=object), dtype=float)
     _, v = perron_eigenpair(total)
     return tuple(float(x) for x in v / v.min())
+
+
+def global_positive_roots(nv, arrows, cap=10**6) -> frozenset:
+    """Positive roots of a simply laced quiver on range(nv) by reflection
+    closure of full-length vectors from the simple roots: repeatedly apply
+    x -> x - (2 x_i - sum of neighbor entries) e_i, keeping vectors with all
+    entries non-negative."""
+    und = {}
+    for s, t, m in arrows:
+        key = (min(s, t), max(s, t))
+        und[key] = und.get(key, 0) + m
+    adj = [set() for _ in range(nv)]
+    for (u, v), m in und.items():
+        if m >= 2 or u == v:
+            raise InfiniteComponent("root closure requires a simply laced simple graph")
+        adj[u].add(v)
+        adj[v].add(u)
+    roots = set()
+    frontier = []
+    for i in range(nv):
+        e = tuple(1 if k == i else 0 for k in range(nv))
+        roots.add(e)
+        frontier.append(e)
+    while frontier:
+        x = frontier.pop()
+        for i in range(nv):
+            c = 2 * x[i] - sum(x[j] for j in adj[i])
+            if c == 0:
+                continue
+            y = list(x)
+            y[i] -= c
+            if y[i] < 0:
+                continue
+            y = tuple(y)
+            if y not in roots:
+                roots.add(y)
+                frontier.append(y)
+                if len(roots) > cap:
+                    raise InfiniteComponent("root closure exceeded the cap")
+    return frozenset(roots)
+
+
+def edge_reflect_dimvec(Q, M, v, x) -> tuple:
+    """Simple reflection at v, resolving every incident edge's action matrix
+    on each call."""
+    if M is None and not Q.partial_mode:
+        M = Q.resolved_module()
+    new_v = np.array([-c for c in x[v]], dtype=object)
+    for e in Q.edges:
+        if e.source == v:
+            mat = label_matrix(M, e.label).T
+            new_v = new_v + mat.dot(np.array(x[e.target], dtype=object))
+        elif e.target == v:
+            mat = label_matrix(M, e.label)
+            new_v = new_v + mat.dot(np.array(x[e.source], dtype=object))
+    return tuple(
+        tuple(int(c) for c in new_v) if w == v else x[w] for w in range(len(x))
+    )

@@ -50,6 +50,11 @@ class TestCatalog:
                 if M is not None:
                     assert validate_module(M).ok, key
 
+    @pytest.mark.parametrize("level", range(2, 41, 2))
+    def test_type_d_modules_have_no_warnings(self, level):
+        rep = validate_module(catalog.verlinde_typeD(level))
+        assert rep.ok and rep.warnings == []
+
     def test_unknown_key(self):
         with pytest.raises(KeyError):
             builtin("no_such_thing")
@@ -109,30 +114,66 @@ class TestCLI:
         assert cli.main(["validate", "--builtin", "fibonacci"]) == 0
         assert "valid" in capsys.readouterr().out.lower()
 
-    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
-    def test_validate_builtin_ring_validates_once(self, monkeypatch, capsys, fmt):
+    @staticmethod
+    def validate_counting(monkeypatch, capsys, fmt, owner, name, entry, param):
+        """`fqk validate --builtin <entry> <param>` on a freshly built catalog
+        entry, counting the calls of the validator `owner.<name>`, which the
+        catalog imports as well; the sizes of the validated objects."""
         import fqk.catalog
-        import fqk.ring
 
-        calls, validate = [], fqk.ring.validate
+        calls, real = [], getattr(owner, name)
 
-        def counting(ring):
-            calls.append(ring.rank)
-            return validate(ring)
+        def counting(obj):
+            calls.append(getattr(obj, "rank", None) or obj.msize)
+            return real(obj)
 
-        monkeypatch.setattr(fqk.catalog, "validate", counting)
-        monkeypatch.setattr(fqk.ring, "validate", counting)
-        fqk.catalog.verlinde_sl2.cache_clear()
+        monkeypatch.setattr(fqk.catalog, name, counting)
+        monkeypatch.setattr(owner, name, counting)
+        cached = getattr(fqk.catalog, entry)
+        cached.cache_clear()
         try:
-            assert cli.main(["validate", "--builtin", "verlinde_sl2", "5", *fmt]) == 0
+            assert cli.main(["validate", "--builtin", entry, param, *fmt]) == 0
         finally:
-            fqk.catalog.verlinde_sl2.cache_clear()
-        assert calls == [6]
+            cached.cache_clear()
         out = capsys.readouterr().out
         if fmt:
             assert json.loads(out) == {"ok": True, "violations": [], "warnings": []}
         else:
             assert out == "valid\n"
+        return calls
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_validate_builtin_ring_validates_once(self, monkeypatch, capsys, fmt):
+        import fqk.ring
+
+        calls = self.validate_counting(
+            monkeypatch, capsys, fmt, fqk.ring, "validate", "verlinde_sl2", "5"
+        )
+        assert calls == [6]
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_validate_builtin_module_validates_once(self, monkeypatch, capsys, fmt):
+        import fqk.module
+
+        calls = self.validate_counting(
+            monkeypatch, capsys, fmt, fqk.module, "validate_module", "verlinde_typeD", "6"
+        )
+        assert calls == [5]
+
+    @pytest.mark.parametrize(
+        "edge",
+        [{"from": 0, "to": 2, "label": "tau"}, {"from": 0, "to": 1, "label": [1]}],
+        ids=["endpoint", "label_length"],
+    )
+    def test_bad_quiver_exit_1(self, tmp_path, capsys, edge):
+        from fqk.io import ring_to_dict
+
+        path = tmp_path / "bad_quiver.json"
+        path.write_text(dumps({
+            "vertices": ["a", "b"], "edges": [edge], "ring": ring_to_dict(catalog.fibonacci()),
+        }))
+        assert cli.main(["classify", "--quiver", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_fpdim_table_and_json(self, capsys):
         assert cli.main(["fpdim", "--builtin", "fibonacci"]) == 0

@@ -1,0 +1,131 @@
+"""The per-component root closure and the resolved-once reflection against
+the global-coordinate closure and the per-edge reflection in `oracles.py`."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fqk import (
+    Edge,
+    FusionQuiver,
+    InfiniteComponent,
+    catalog,
+    components,
+    positive_roots_simply_laced,
+    reflect_dimvec,
+    unfold,
+)
+from fqk.module import OrdinaryQuiver
+from fqk.unfold import ADE_ROOT_COUNTS
+
+from conftest import BUILTIN_QUIVERS, FINITE_QUIVERS
+from oracles import edge_reflect_dimvec, global_positive_roots
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+ADE_TYPES = (
+    [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8"]
+)
+
+
+def dynkin_edges(name):
+    """Edges of the Dynkin diagram on range(n): a path, with the last vertex
+    moved to hang off vertex n-3 (type D) or vertex 2 (type E)."""
+    n = int(name[1:])
+    if name[0] == "A":
+        return [(i, i + 1) for i in range(n - 1)]
+    return [(i, i + 1) for i in range(n - 2)] + [(n - 3 if name[0] == "D" else 2, n - 1)]
+
+
+def table_count(name):
+    n = int(name[1:])
+    return ADE_ROOT_COUNTS[name[0]](n) if name[0] in "AD" else ADE_ROOT_COUNTS[name]
+
+
+@st.composite
+def ade_unions(draw):
+    """A disjoint union of ADE quivers with random orientation and randomly
+    relabelled vertices, and its component types."""
+    names = draw(st.lists(st.sampled_from(ADE_TYPES), min_size=1, max_size=4))
+    edges, nv = [], 0
+    for name in names:
+        edges += [(nv + u, nv + v) for u, v in dynkin_edges(name)]
+        nv += int(name[1:])
+    perm = draw(st.permutations(range(nv)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    arrows = tuple(
+        (perm[v], perm[u], 1) if flip else (perm[u], perm[v], 1)
+        for (u, v), flip in zip(edges, flips)
+    )
+    return OrdinaryQuiver(vertices=tuple(f"v{k}" for k in range(nv)), arrows=arrows), names
+
+
+class TestRootClosure:
+    @PROPERTY
+    @given(ade_unions())
+    def test_ade_unions_match_global_closure(self, case):
+        q, names = case
+        roots = positive_roots_simply_laced(q)
+        assert roots == global_positive_roots(len(q.vertices), q.arrows)
+        assert len(roots) == sum(table_count(name) for name in names)
+        assert sorted(components(q).type_names()) == sorted(names)
+
+    @pytest.mark.parametrize("name", FINITE_QUIVERS)
+    def test_finite_builtin_unfoldings(self, name):
+        U = unfold(BUILTIN_QUIVERS[name])
+        roots = positive_roots_simply_laced(U)
+        assert roots == global_positive_roots(U.nv, U.arrows)
+        assert len(roots) == components(U).total_root_count()
+
+    @pytest.mark.parametrize(
+        "arrows",
+        [
+            tuple((i, (i + 1) % n, 1) for i in range(n)) for n in (3, 4, 7)
+        ] + [((0, 1, 2),), ((0, 1, 1), (1, 0, 1)), ((0, 1, 1), (1, 1, 1)), ((0, 0, 1),)],
+        ids=["cycle3", "cycle4", "cycle7", "double", "two_way", "loop_on_edge", "loop"],
+    )
+    def test_not_ade_rejected_before_closing(self, arrows):
+        nv = 1 + max(max(s, t) for s, t, _ in arrows)
+        q = OrdinaryQuiver(vertices=tuple(range(nv)), arrows=arrows)
+        with pytest.raises(InfiniteComponent, match="not finite ADE"):
+            positive_roots_simply_laced(q)
+
+
+def loop_quivers():
+    """A loop next to an ordinary edge: over the Fibonacci ring, and in
+    partial mode with the non-symmetric sl3-at-5 label, so that the dual
+    action of the loop differs from its action."""
+    fib = catalog.fibonacci()
+    tau = fib.basis("tau")
+    X = catalog.sl3at5_action()
+    assert X.matrix != X.transpose().matrix
+    return {
+        "fib_loop": FusionQuiver(("a", "b"), (Edge(0, 1, tau), Edge(1, 1, tau)), ring=fib),
+        "sl3at5_loop": FusionQuiver(("a", "b"), (Edge(0, 1, X), Edge(0, 0, X))),
+    }
+
+
+REFLECT_QUIVERS = {**BUILTIN_QUIVERS, **loop_quivers()}
+
+
+class TestReflection:
+    @PROPERTY
+    @given(st.sampled_from(sorted(REFLECT_QUIVERS)), st.data())
+    def test_matches_per_edge_oracle(self, name, data):
+        Q = REFLECT_QUIVERS[name]
+        M = Q.resolved_module()
+        msize = len(Q.module_names())
+        entry = st.integers(-(2**70), 2**70) if data.draw(st.booleans()) else st.integers(-3, 3)
+        x = tuple(
+            tuple(data.draw(entry) for _ in range(msize)) for _ in range(Q.nv)
+        )
+        for v in range(Q.nv):
+            assert reflect_dimvec(Q, M, v, x) == edge_reflect_dimvec(Q, M, v, x)
+            assert reflect_dimvec(Q, None, v, x) == edge_reflect_dimvec(Q, None, v, x)
+
+    def test_loop_acts_once_through_its_dual(self):
+        Q = loop_quivers()["sl3at5_loop"]
+        X = Q.edges[0].label
+        x = ((1,) + (0,) * 5, (0,) * 6)
+        want = tuple(c - (k == 0) for k, c in enumerate(X.matrix[0]))
+        assert reflect_dimvec(Q, None, 0, x)[0] == want
+

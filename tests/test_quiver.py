@@ -7,10 +7,12 @@ from fqk import (
     Edge,
     FusionQuiver,
     NotReflectable,
+    OutOfRange,
     admissible_sink_ordering,
     catalog,
     classify_coxeter,
     coxeter_graph,
+    is_finite_type,
     labeled_graph,
     normalize,
     reflect_quiver,
@@ -35,6 +37,19 @@ def branched_graph(n, fork_at, extra_labels=3):
     return CoxeterGraph(
         vertices=tuple(str(i) for i in range(n)), edges=tuple(edges)
     )
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("source,target", [(0, 2), (-1, 1), (5, 0)])
+    def test_endpoint_outside_vertices(self, source, target):
+        fib = catalog.fibonacci()
+        with pytest.raises(OutOfRange):
+            FusionQuiver(("a", "b"), (Edge(source, target, fib.basis("tau")),), ring=fib)
+
+    @pytest.mark.parametrize("label", [(1,), (0, 1, 0)])
+    def test_label_length_not_rank(self, label):
+        with pytest.raises(OutOfRange):
+            FusionQuiver(("a", "b"), (Edge(0, 1, label),), ring=catalog.fibonacci())
 
 
 class TestNormalize:
@@ -283,3 +298,17 @@ class TestSinkOrdering:
             for v in order:
                 assert is_sink(cur, v)
                 cur = reflect_quiver(cur, v)
+
+
+class TestLoops:
+    @pytest.mark.parametrize(
+        "ring,label",
+        [("fibonacci", "1"), ("fibonacci", "tau"), ("rep_s2", "S"), ("rep_s2", "1"), ("rep_s3", "V")],
+    )
+    def test_one_vertex_loop_is_infinite_on_both_sides(self, ring, label):
+        R = catalog.builtin(ring)
+        Q = FusionQuiver(("a",), (Edge(0, 0, R.basis(label)),), ring=R)
+        verdict = is_finite_type(Q)
+        assert not verdict.finite
+        assert verdict.gamma.type_names() == ("infinite",)
+        assert not any(c.finite for c in verdict.unfolded.components)
