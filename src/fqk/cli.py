@@ -42,17 +42,27 @@ def _builtin(args, kind):
     return obj
 
 
+def _load(loader, path):
+    """A fio.load_* call on a user's file: malformed content is a usage error."""
+    try:
+        return loader(path)
+    except KeyError as e:
+        raise UsageError(f"{path}: missing key {e}")
+    except (ValueError, TypeError) as e:  # json.JSONDecodeError is a ValueError
+        raise UsageError(f"{path}: {e}")
+
+
 def _get_ring(args) -> FusionRing:
     if getattr(args, "builtin", None):
         return _builtin(args, "ring")
     if getattr(args, "ring", None):
-        return fio.load_ring(args.ring)
+        return _load(fio.load_ring, args.ring)
     raise UsageError("a ring is required (--ring or --builtin)")
 
 
 def _get_module(args, required=True):
     if getattr(args, "module", None):
-        return fio.load_module(args.module)
+        return _load(fio.load_module, args.module)
     if getattr(args, "builtin", None):
         obj = _builtin(args, "any")
         if isinstance(obj, ModuleCategory):
@@ -68,13 +78,13 @@ def _get_quiver(args) -> FusionQuiver:
     if getattr(args, "builtin", None):
         return normalize(_builtin(args, "quiver"))
     if getattr(args, "quiver", None):
-        return normalize(fio.load_quiver(args.quiver))
+        return normalize(_load(fio.load_quiver, args.quiver))
     raise UsageError("a quiver is required (--quiver or --builtin)")
 
 
 def _quiver_module(args, Q):
     if getattr(args, "module", None):
-        return fio.load_module(args.module)
+        return _load(fio.load_module, args.module)
     return Q.resolved_module()
 
 

@@ -64,6 +64,8 @@ def _label_from_json(ring: FusionRing | None, spec):
     if isinstance(spec, str):
         if ring is None:
             raise ValueError("named label requires ring data")
+        if spec not in ring.names:
+            raise ValueError(f"unknown label {spec!r}")
         return ring.basis(spec)
     return tuple(int(c) for c in spec)
 

@@ -181,11 +181,11 @@ def labeled_graph(Q: FusionQuiver) -> LabeledGraph:
     )
 
 
-def coxeter_graph(Q_or_G, tol: float | None = None) -> CoxeterGraph:
+def coxeter_graph(Q_or_G) -> CoxeterGraph:
     G = Q_or_G if isinstance(Q_or_G, LabeledGraph) else labeled_graph(Q_or_G)
     edges = []
     for u, v, f in G.edges:
-        m = angle_label(f, tol)
+        m = angle_label(f)
         if m != 2:
             edges.append((u, v, m))
     return CoxeterGraph(vertices=G.vertices, edges=tuple(edges))
@@ -211,11 +211,12 @@ class CoxeterClassification:
         return tuple(c.type_name for c in self.components)
 
 
-def _posdef(gram, tol) -> bool:
+def _posdef(gram) -> bool:
     """Positive definiteness via leading principal minors (exact expansion on
     small float matrices); |minor| < tol counts as not positive definite."""
     import numpy as np
 
+    tol = default_tol()
     g = np.asarray(gram, dtype=float)
     for k in range(1, g.shape[0] + 1):
         minor = float(np.linalg.det(g[:k, :k]))
@@ -299,15 +300,13 @@ def _coxeter_pattern(comp, edges):
     return None
 
 
-def classify_coxeter(G, tol: float | None = None) -> CoxeterClassification:
+def classify_coxeter(G) -> CoxeterClassification:
     """Classify each connected component of a Coxeter graph (or labeled
     graph) as a named finite type or infinite, cross-checking the pattern
     match against positive definiteness of the associated symmetric form."""
-    if tol is None:
-        tol = default_tol()
     if isinstance(G, LabeledGraph):
         gram_label = {(min(u, v), max(u, v)): f for u, v, f in G.edges}
-        G = coxeter_graph(G, tol)
+        G = coxeter_graph(G)
     else:
         gram_label = {
             (min(u, v), max(u, v)): (
@@ -323,7 +322,7 @@ def classify_coxeter(G, tol: float | None = None) -> CoxeterClassification:
             f = gram_label[(min(u, v), max(u, v))]
             gram[idx[u]][idx[v]] -= f
             gram[idx[v]][idx[u]] -= f
-        pd = _posdef(gram, tol)
+        pd = _posdef(gram)
         named = _coxeter_pattern(comp, sub)
         if (named is not None) != pd:
             raise InconsistentVerdict(

@@ -5,6 +5,7 @@ vectors via root systems."""
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,9 +41,11 @@ from .ring import (
     scale,
     sub,
 )
-from .unfold import _cross_checked, positive_roots_simply_laced, unfold
+from .unfold import ROOT_CLOSURE_CAP, _cross_checked, _roots, unfold
 
-ORBIT_GROWTH_STREAK = 50
+# Gabriel: no positive root of an A/D/E quiver has an entry above 6, the
+# largest coefficient of the highest root of E8
+ROOT_ENTRY_MAX = 6
 
 # DimensionVector: tuple (one entry per quiver vertex) of module-coefficient
 # tuples; hashable, so closures can live in plain sets.
@@ -290,14 +293,13 @@ class SignCoherenceReport:
     signs_dp: tuple
 
 
-def sign_coherence(ring: FusionRing, pi, K: int, tol: float | None = None) -> SignCoherenceReport:
+def sign_coherence(ring: FusionRing, pi, K: int) -> SignCoherenceReport:
     """Classify the signs of [k]_d and [k]_d' for k up to K, locate the
     minimal vanishing index m, and verify the zero/sign alternation pattern
     (zeros exactly at multiples of m, signs flipping block by block)."""
     if K < 1:
         raise OutOfRange("K must be at least 1")
-    if tol is None:
-        tol = default_tol()
+    tol = default_tol()
     fpv = fpdim(ring)
     pairs = _qnum_pair_sequence(ring, pi, K)
     vals_d = [a for a, _ in pairs]
@@ -346,30 +348,16 @@ def _two_vertex_quiver(ring, pi, module):
     )
 
 
-def _orbit_size(acts, start, cap, mu=None):
-    """Size of the orbit of sigma_a sigma_b on a dimension vector, with an
-    FP-norm growth streak as an early infinite-order certificate."""
+def _orbit_size(acts, start):
+    """Order of sigma_a sigma_b on a simple root: the steps until the vector
+    returns to `start`, or INFINITY once an entry leaves the root bound."""
     x = start
-    streak = 0
-    prev_norm = None
-    for step in range(1, cap + 1):
+    for step in itertools.count(1):
         x = _reflect(acts, 0, _reflect(acts, 1, x))
         if x == start:
             return step
-        if mu is not None:
-            norm = float(
-                np.linalg.norm(
-                    [sum(c * d for c, d in zip(a, mu)) for a in x]
-                )
-            )
-            if prev_norm is not None and norm > prev_norm + 1e-12:
-                streak += 1
-                if streak >= ORBIT_GROWTH_STREAK:
-                    return INFINITY
-            else:
-                streak = 0
-            prev_norm = norm
-    return INFINITY
+        if any(abs(c) > ROOT_ENTRY_MAX for a in x for c in a):
+            return INFINITY
 
 
 def rank_two_order(ring: FusionRing | None, pi, module: ModuleCategory | None = None):
@@ -395,12 +383,10 @@ def rank_two_order(ring: FusionRing | None, pi, module: ModuleCategory | None = 
         results["qnum"] = sign_coherence(ring, pi, K).minimal_m
 
     acts = _vertex_actions(_two_vertex_quiver(ring, pi, module), M)
-    mu = module_fpdims(M) if M is not None else tuple([1.0] * msize)
-    cap = max(1000, 4 * results["angle"]) if results["angle"] != INFINITY else 1000
     orbit_sizes = set()
     for l in range(msize):
         start = dimvec_basis(2, msize, 0, tuple(1 if j == l else 0 for j in range(msize)))
-        orbit_sizes.add(_orbit_size(acts, start, cap, mu=mu))
+        orbit_sizes.add(_orbit_size(acts, start))
     if len(orbit_sizes) != 1:
         raise InconsistentVerdict(f"orbit sizes differ across simples: {orbit_sizes}")
     results["orbit"] = orbit_sizes.pop()
@@ -492,15 +478,18 @@ def enumerate_indecomposables(Q: FusionQuiver, M: ModuleCategory | None = None):
     finite-type quiver: positive roots of the unfolding, folded back, sorted
     lexicographically."""
     U = unfold(Q, M)
-    if not _cross_checked(Q, U).finite:
+    verdict = _cross_checked(Q, U)
+    if not verdict.finite:
         raise InfiniteType("quiver is of infinite representation type")
-    roots = positive_roots_simply_laced(U)
-    return sorted(fold_root(U, r) for r in roots)
+    return sorted(fold_root(U, r) for r in _roots(U, verdict.unfolded))
 
 
-def _closure(Q, M, starts, keep, cap: int, what: str) -> set:
+def _closure(Q, M, starts, keep, what: str) -> set:
     """The vectors reached from `starts` by simple reflections through
-    vectors that pass `keep`."""
+    vectors that pass `keep`.  Without a loop these are real roots of the
+    unfolding, so an entry beyond the root bound proves infinite type."""
+    if any(e.source == e.target for e in Q.edges):
+        raise InfiniteType(f"{what}: a loop makes the type infinite")
     acts = _vertex_actions(Q, M)
     seen = set(starts)
     frontier = list(starts)
@@ -508,15 +497,17 @@ def _closure(Q, M, starts, keep, cap: int, what: str) -> set:
         x = frontier.pop()
         for v in range(Q.nv):
             y = _reflect(acts, v, x)
+            if any(abs(c) > ROOT_ENTRY_MAX for c in y[v]):
+                raise InfiniteType(f"{what} left the root bound")
             if y not in seen and keep(y):
                 seen.add(y)
                 frontier.append(y)
-                if len(seen) > cap:
+                if len(seen) > ROOT_CLOSURE_CAP:
                     raise InfiniteType(f"{what} exceeded the vector cap")
     return seen
 
 
-def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None, cap: int = 10**6):
+def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None):
     """Independent enumeration oracle: reflection closure of the simple
     dimension vectors [L] alpha_v directly in the module-coefficient lattice,
     keeping positive vectors."""
@@ -528,7 +519,7 @@ def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None, cap: 
         for v in range(Q.nv)
         for l in range(msize)
     ]
-    return sorted(_closure(Q, M, starts, dimvec_is_positive, cap, "closure"))
+    return sorted(_closure(Q, M, starts, dimvec_is_positive, "closure"))
 
 
 @dataclass(frozen=True)
@@ -547,7 +538,7 @@ def extended_positive_roots(Q: FusionQuiver) -> ExtendedRootReport:
     ring = Q.ring
     M = regular_module(ring)
     starts = [dimvec_basis(Q.nv, ring.rank, v, ring.one) for v in range(Q.nv)]
-    orbit = _closure(Q, M, starts, lambda y: True, 10**6, "orbit closure")
+    orbit = _closure(Q, M, starts, lambda y: True, "orbit closure")
     positives = {x for x in orbit if dimvec_is_positive(x)}
 
     orbits = []

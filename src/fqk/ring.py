@@ -246,7 +246,7 @@ def scale(c: int, x: RingElement) -> RingElement:
     return tuple(c * a for a in x)
 
 
-def perron_eigenpair(A, tol=POWER_ITER_TOL, cap=POWER_ITER_CAP):
+def perron_eigenpair(A):
     """Perron eigenvalue and positive eigenvector of a non-negative matrix
     with strictly positive Perron vector, by power iteration.
 
@@ -258,31 +258,28 @@ def perron_eigenpair(A, tol=POWER_ITER_TOL, cap=POWER_ITER_CAP):
     B = A + np.eye(n)
     v = np.ones(n) / math.sqrt(n)
     lam = 1.0
-    for _ in range(cap):
+    for _ in range(POWER_ITER_CAP):
         w = B @ v
         lam_new = float(np.linalg.norm(w))
         if lam_new == 0.0:
             raise NonConvergence("matrix annihilated the positive cone")
         w = w / lam_new
-        if np.linalg.norm(w - v) < tol and abs(lam_new - lam) < tol:
+        if np.linalg.norm(w - v) < POWER_ITER_TOL and abs(lam_new - lam) < POWER_ITER_TOL:
             return lam_new - 1.0, w
         v, lam = w, lam_new
     raise NonConvergence(
-        f"power iteration did not converge within {cap} iterations"
+        f"power iteration did not converge within {POWER_ITER_CAP} iterations"
     )
 
 
 @dataclass(frozen=True)
 class FPVector:
     dims: tuple  # float per simple, dims[unit] = 1
-    tol: float
 
 
-def fpdim(ring: FusionRing, tol: float | None = None) -> FPVector:
+def fpdim(ring: FusionRing) -> FPVector:
     """Common Perron eigenvector of all left-multiplication matrices,
     normalized so the unit has dimension 1; entry i is FPdim of simple i."""
-    if tol is None:
-        tol = default_tol()
     # one contiguous float copy per simple: a transposed view would change
     # the last bits of m @ v
     mats = [np.ascontiguousarray(m.T, dtype=float) for m in ring.tensor]
@@ -292,7 +289,7 @@ def fpdim(ring: FusionRing, tol: float | None = None) -> FPVector:
     # per-simple eigenvalue extraction: LeftMult(S_i) v = d_i v
     k = int(np.argmax(v))
     dims = tuple(float((m @ v)[k] / v[k]) for m in mats)
-    return FPVector(dims=dims, tol=tol)
+    return FPVector(dims=dims)
 
 
 def fpdim_of(ring: FusionRing, x: RingElement, fpv: FPVector | None = None) -> float:
@@ -304,11 +301,10 @@ def fpdim_of(ring: FusionRing, x: RingElement, fpv: FPVector | None = None) -> f
 INFINITY = math.inf
 
 
-def angle_label(f: float, tol: float | None = None):
+def angle_label(f: float):
     """Map a real dimension f to the integer m with f = 2cos(pi/m), with
     f >= 2 mapping to infinity and f = 0 mapping to 2."""
-    if tol is None:
-        tol = default_tol()
+    tol = default_tol()
     if f < 0:
         raise InvalidDimension(f"negative dimension {f}")
     if f >= 2 - tol:

@@ -208,7 +208,11 @@ def positive_roots_simply_laced(U) -> frozenset:
     roots, in its own coordinates, under the reflections
     x -> x - (2 x_i - sum of neighbor entries) e_i that raise x_i; the
     closure must reach the table's root count, and is then embedded."""
-    rep = components(U)
+    return _roots(U, components(U))
+
+
+def _roots(U, rep: ComponentReport) -> frozenset:
+    """positive_roots_simply_laced on the component report rep of U."""
     if not rep.finite:
         raise InfiniteComponent("some component is not finite ADE")
     if rep.total_root_count() > ROOT_CLOSURE_CAP:

@@ -13,7 +13,7 @@ import numpy as np
 
 from fqk.errors import InfiniteComponent
 from fqk.module import label_matrix
-from fqk.ring import FPVector, ValidationReport, default_tol, perron_eigenpair
+from fqk.ring import FPVector, ValidationReport, perron_eigenpair
 
 
 def _left_mult(ring, i):
@@ -132,9 +132,7 @@ def loop_validate_module(M) -> ValidationReport:
     return rep
 
 
-def loop_fpdim(ring, tol=None) -> FPVector:
-    if tol is None:
-        tol = default_tol()
+def loop_fpdim(ring) -> FPVector:
     total = np.zeros((ring.rank, ring.rank), dtype=float)
     mats = []
     for i in range(ring.rank):
@@ -145,7 +143,7 @@ def loop_fpdim(ring, tol=None) -> FPVector:
     v = v / v[ring.unit]
     k = int(np.argmax(v))
     dims = tuple(float((m @ v)[k] / v[k]) for m in mats)
-    return FPVector(dims=dims, tol=tol)
+    return FPVector(dims=dims)
 
 
 def loop_module_fpdims(M) -> tuple:

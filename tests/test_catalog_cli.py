@@ -20,6 +20,7 @@ from fqk.io import (
     quiver_dot,
     quiver_from_dict,
     quiver_to_dict,
+    ring_to_dict,
     unfolded_dot,
 )
 from fqk.quiver import coxeter_graph
@@ -174,6 +175,28 @@ class TestCLI:
         }))
         assert cli.main(["classify", "--quiver", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"vertices": ["a"]', "Expecting"),
+            (dumps({"vertices": ["a"]}), "missing key 'edges'"),
+            (
+                dumps({
+                    "vertices": ["a", "b"], "edges": [{"from": 0, "to": 1, "label": "sigma"}],
+                    "ring": ring_to_dict(catalog.fibonacci()),
+                }),
+                "unknown label 'sigma'",
+            ),
+        ],
+        ids=["malformed_json", "missing_edges", "unknown_label"],
+    )
+    def test_bad_quiver_file_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad_quiver.json"
+        path.write_text(text)
+        assert cli.main(["classify", "--quiver", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
 
     def test_fpdim_table_and_json(self, capsys):
         assert cli.main(["fpdim", "--builtin", "fibonacci"]) == 0

@@ -15,6 +15,7 @@ from fqk import (
     unfold,
 )
 from fqk.module import OrdinaryQuiver
+from fqk.reflect import ROOT_ENTRY_MAX
 from fqk.unfold import ADE_ROOT_COUNTS
 
 from conftest import BUILTIN_QUIVERS, FINITE_QUIVERS
@@ -68,6 +69,16 @@ class TestRootClosure:
         assert roots == global_positive_roots(len(q.vertices), q.arrows)
         assert len(roots) == sum(table_count(name) for name in names)
         assert sorted(components(q).type_names()) == sorted(names)
+
+    @pytest.mark.parametrize("name", ADE_TYPES)
+    def test_root_entries_within_gabriel_bound(self, name):
+        n = int(name[1:])
+        q = OrdinaryQuiver(
+            vertices=tuple(range(n)), arrows=tuple((u, v, 1) for u, v in dynkin_edges(name))
+        )
+        top = max(c for root in positive_roots_simply_laced(q) for c in root)
+        assert top <= ROOT_ENTRY_MAX
+        assert (top == ROOT_ENTRY_MAX) == (name == "E8")
 
     @pytest.mark.parametrize("name", FINITE_QUIVERS)
     def test_finite_builtin_unfoldings(self, name):

@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from fqk import (
+    Edge,
+    FusionQuiver,
     InfiniteType,
     OutOfRange,
     SignCoherenceViolation,
@@ -383,6 +386,12 @@ class TestRankTwoOrder:
         assert rank_two_order(s3, s3.basis("V")) == INFINITY
 
     def test_verlinde_orders(self):
+        # closed form: 3 for V0 and V_L, L+2 for V1 and V_{L-1}, else infinite
+        for L in range(1, 11):
+            ring = catalog.verlinde_sl2(L)
+            for j in range(L + 1):
+                want = 3 if j in (0, L) else L + 2 if j in (1, L - 1) else INFINITY
+                assert rank_two_order(ring, ring.basis(j)) == want, (L, j)
         l4 = catalog.verlinde_sl2(4)
         assert rank_two_order(l4, l4.basis("V1")) == 6
         assert rank_two_order(l4, l4.basis("V1"), module=catalog.verlinde_typeD(4)) == 6
@@ -575,3 +584,38 @@ class TestExtendedRoots:
         rep = extended_positive_roots(catalog.fib_edge_quiver())
         from_orbits = {x for _, mults in rep.orbits for x in mults}
         assert from_orbits == set(rep.extended)
+
+
+@pytest.fixture
+def reflection_budget(monkeypatch):
+    """Fail fast, instead of running on, past 1000 simple reflections."""
+    reflect = sys.modules["fqk.reflect"]
+    real, calls = reflect._reflect, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= 1000, "reflection budget exceeded"
+        return real(*args)
+
+    monkeypatch.setattr(reflect, "_reflect", counted)
+
+
+ORACLES = [enumerate_by_closure, extended_positive_roots]
+
+
+class TestRootBound:
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize("key", ["s3_std_quiver", "s4_std_quiver"])
+    def test_infinite_closure_stops(self, reflection_budget, oracle, key):
+        with pytest.raises(InfiniteType, match="root bound"):
+            oracle(BUILTIN_QUIVERS[key])
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize(
+        "rkey, lname", [("fibonacci", "tau"), ("fibonacci", "1"), ("rep_s2", "S"), ("rep_s3", "V")]
+    )
+    def test_loop_rejected(self, reflection_budget, oracle, rkey, lname):
+        ring = BUILTIN_RINGS[rkey]
+        Q = FusionQuiver(("a",), (Edge(0, 0, ring.basis(lname)),), ring=ring)
+        with pytest.raises(InfiniteType, match="loop"):
+            oracle(Q)

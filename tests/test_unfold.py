@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from fqk import (
     InfiniteComponent,
     catalog,
     components,
+    enumerate_indecomposables,
     fpdim,
     fpdim_of,
     is_finite_type,
@@ -213,6 +215,19 @@ class TestPositiveRoots:
     def test_e8_from_h4_unfolding(self):
         U = unfold(catalog.fib_h4_quiver())
         assert len(positive_roots_simply_laced(U)) == 120
+
+    def test_enumeration_finds_components_once(self, monkeypatch):
+        # fqk.unfold is the re-exported function, so patch the module itself
+        unfold_module = sys.modules["fqk.unfold"]
+        real, calls = unfold_module.components, []
+
+        def counted(U):
+            calls.append(U)
+            return real(U)
+
+        monkeypatch.setattr(unfold_module, "components", counted)
+        assert len(enumerate_indecomposables(catalog.fib_h4_quiver())) == 120
+        assert len(calls) == 1
 
     def test_infinite_component_rejected(self):
         U = unfold(catalog.s3_std_quiver())
