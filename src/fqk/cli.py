@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import catalog as cat
 from . import io as fio
 from .errors import FQKError
-from .module import ActionLabel, ModuleCategory, mckay_quiver, regular_module
+from .module import ActionLabel, ModuleCategory, mckay_quiver, regular_module, validate_module
 from .quiver import FusionQuiver, coxeter_graph, classify_coxeter, labeled_graph, normalize
-from .ring import FusionRing, INFINITY, fpdim, fpdim_of
+from .ring import FusionRing, INFINITY, ValidationReport, fpdim, fpdim_of, validate
 from .reflect import (
     enumerate_indecomposables,
     qnum_free,
@@ -42,27 +43,40 @@ def _builtin(args, kind):
     return obj
 
 
-def _load(loader, path):
-    """A fio.load_* call on a user's file: malformed content is a usage error."""
+def _load(loader, path, checked=True):
+    """A fio.load_* call on a user's file: malformed content is a usage error.
+    Unless `checked` is false, each ring and module in the file is validated
+    once, ring first, and the first violation is a domain error."""
     try:
-        return loader(path)
+        obj = loader(path)
     except KeyError as e:
         raise UsageError(f"{path}: missing key {e}")
     except (ValueError, TypeError) as e:  # json.JSONDecodeError is a ValueError
         raise UsageError(f"{path}: {e}")
+    except FQKError as e:
+        raise type(e)(f"{path}: {e}")
+    M = obj if isinstance(obj, ModuleCategory) else getattr(obj, "module", None)
+    parts = [getattr(obj, "ring", obj), M and M.ring, M] if checked else []
+    for k, part in enumerate(parts):
+        if part is None or any(part is p for p in parts[:k]):
+            continue
+        rep = (validate_module if part is M else validate)(part)
+        if not rep.ok:
+            raise FQKError(f"{path}: {rep.violations[0]}")
+    return obj
 
 
-def _get_ring(args) -> FusionRing:
+def _get_ring(args, checked=True) -> FusionRing:
     if getattr(args, "builtin", None):
         return _builtin(args, "ring")
     if getattr(args, "ring", None):
-        return _load(fio.load_ring, args.ring)
+        return _load(fio.load_ring, args.ring, checked)
     raise UsageError("a ring is required (--ring or --builtin)")
 
 
-def _get_module(args, required=True):
+def _get_module(args, required=True, checked=True):
     if getattr(args, "module", None):
-        return _load(fio.load_module, args.module)
+        return _load(fio.load_module, args.module, checked)
     if getattr(args, "builtin", None):
         obj = _builtin(args, "any")
         if isinstance(obj, ModuleCategory):
@@ -75,17 +89,17 @@ def _get_module(args, required=True):
 
 
 def _get_quiver(args) -> FusionQuiver:
+    """The quiver of --builtin or --quiver, normalized, acting on the module
+    of --module when one is given."""
     if getattr(args, "builtin", None):
-        return normalize(_builtin(args, "quiver"))
-    if getattr(args, "quiver", None):
-        return normalize(_load(fio.load_quiver, args.quiver))
-    raise UsageError("a quiver is required (--quiver or --builtin)")
-
-
-def _quiver_module(args, Q):
+        Q = _builtin(args, "quiver")
+    elif getattr(args, "quiver", None):
+        Q = _load(fio.load_quiver, args.quiver)
+    else:
+        raise UsageError("a quiver is required (--quiver or --builtin)")
     if getattr(args, "module", None):
-        return _load(fio.load_module, args.module)
-    return Q.resolved_module()
+        Q = replace(Q, module=_get_module(args))
+    return normalize(Q)
 
 
 def _parse_object(ring: FusionRing, spec: str):
@@ -109,17 +123,14 @@ def _fmt_m(m) -> str:
 
 
 def cmd_validate(args) -> int:
-    from .module import validate_module
-    from .ring import ValidationReport, validate
-
     builtin = getattr(args, "builtin", None)
     if getattr(args, "module", None) or (
         builtin and cat.catalog_kind(builtin[0]) == "module"
     ):
-        check, obj = validate_module, _get_module(args)
+        check, obj = validate_module, _get_module(args, checked=False)
         builtin = builtin and not args.module  # a module file comes first
     else:
-        check, obj = validate, _get_ring(args)
+        check, obj = validate, _get_ring(args, checked=False)
     # a catalog ring or module was validated when it was built, which raises
     # on any violation or warning
     rep = ValidationReport() if builtin else check(obj)
@@ -175,8 +186,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_classify(args) -> int:
     Q = _get_quiver(args)
-    M = _quiver_module(args, Q)
-    verdict = is_finite_type(Q, M)
+    verdict = is_finite_type(Q)
     comps = ", ".join(
         f"{c.type_name} (h={_fmt_m(c.coxeter_number)}, "
         f"{_fmt_m(c.positive_root_count)} roots)"
@@ -208,8 +218,7 @@ def cmd_classify(args) -> int:
 
 def cmd_unfold(args) -> int:
     Q = _get_quiver(args)
-    M = _quiver_module(args, Q)
-    U = unfold(Q, M)
+    U = unfold(Q)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(fio.unfolded_dot(U))
@@ -229,9 +238,8 @@ def cmd_unfold(args) -> int:
 
 def cmd_enumerate(args) -> int:
     Q = _get_quiver(args)
-    M = _quiver_module(args, Q)
-    vecs = enumerate_indecomposables(Q, M)
-    mnames = M.mnames if M is not None else Q.module_names()
+    vecs = enumerate_indecomposables(Q)
+    mnames = Q.module_names()
 
     def pretty(x):
         parts = []
@@ -315,15 +323,13 @@ def cmd_rank2(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    Q = _get_quiver(args)
     if args.what == "quiver":
-        Q = _get_quiver(args)
         text = fio.quiver_dot(Q)
     elif args.what == "gamma":
-        Q = _get_quiver(args)
         text = fio.gamma_dot(coxeter_graph(Q))
     else:
-        Q = _get_quiver(args)
-        text = fio.unfolded_dot(unfold(Q, _quiver_module(args, Q)))
+        text = fio.unfolded_dot(unfold(Q))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -402,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dot", help="DOT export")
     _add_common(p, quiver=True, module=True, fmt=False)
-    p.add_argument("--in", dest="quiver_in", default=None)
     p.add_argument("--what", choices=("quiver", "gamma", "unfolded"), default="quiver")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_dot)
@@ -420,14 +425,12 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if getattr(args, "quiver_in", None) and not getattr(args, "quiver", None):
-        args.quiver = args.quiver_in
     try:
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except FQKError as e:

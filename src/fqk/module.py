@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MissingAction, SignIncoherentInput
+from .errors import MissingAction, OutOfRange, SignIncoherentInput
 from .ring import (
     FusionRing,
     RingElement,
@@ -34,6 +34,11 @@ class ActionLabel:
     matrix: tuple  # msize x msize nested tuples of non-negative ints
     fpdim_override: float | None = None
 
+    def __post_init__(self):
+        n = len(self.matrix)
+        if any(len(row) != n or min(row, default=0) < 0 for row in self.matrix):
+            raise OutOfRange("an action label is a square non-negative matrix")
+
     @classmethod
     def from_rows(cls, rows, fpdim_override=None):
         return cls(
@@ -44,9 +49,6 @@ class ActionLabel:
     @property
     def size(self) -> int:
         return len(self.matrix)
-
-    def np_matrix(self):
-        return np.array(self.matrix, dtype=object)
 
     def transpose(self) -> "ActionLabel":
         return ActionLabel(
@@ -240,7 +242,7 @@ def label_matrix(M: ModuleCategory | None, label):
     Python ints: a partial-mode label's own matrix, or the action of a
     ring-element label, which needs the module."""
     if isinstance(label, ActionLabel):
-        return label.np_matrix()
+        return np.array(label.matrix, dtype=object)
     if M is None:
         raise MissingAction("ring-element label with no module data")
     return action_matrix_of(M, label)

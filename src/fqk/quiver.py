@@ -6,11 +6,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import InconsistentVerdict, NotReflectable, OutOfRange
+from .errors import InconsistentVerdict, MissingAction, NotReflectable, OutOfRange
 from .module import (
     ActionLabel,
     ModuleCategory,
     _graph_components,
+    label_matrix,
     regular_module,
 )
 from .ring import (
@@ -34,6 +35,11 @@ class Edge:
 
 @dataclass(frozen=True)
 class FusionQuiver:
+    """Construction resolves, once and outside the fields: the module (its
+    own, else the ring's regular module, else none), its simple names (else
+    `mnames`, else the labels' common size) and `edge_actions`, each edge's
+    action matrix on those simples as rows of Python ints."""
+
     vertices: tuple  # names
     edges: tuple  # of Edge
     ring: FusionRing | None = None
@@ -41,14 +47,33 @@ class FusionQuiver:
     mnames: tuple | None = None  # display names for partial mode
 
     def __post_init__(self):
-        rank = None if self.ring is None else self.ring.rank
+        M = self.module
+        if M is None and self.ring is not None:
+            M = regular_module(self.ring)
         for e in self.edges:
             if not (0 <= e.source < self.nv and 0 <= e.target < self.nv):
                 raise OutOfRange(
                     f"edge {e.source} -> {e.target} has an endpoint outside range({self.nv})"
                 )
-            if rank is not None and not isinstance(e.label, ActionLabel) and len(e.label) != rank:
-                raise OutOfRange(f"label {e.label} has length {len(e.label)}, not rank {rank}")
+            if isinstance(e.label, ActionLabel):
+                continue
+            if self.ring is None:
+                raise MissingAction(f"ring-element label {e.label} on a quiver with no ring")
+            for r in (self.ring, M.ring):
+                if len(e.label) != r.rank:
+                    raise OutOfRange(f"label {e.label} has length {len(e.label)}, not rank {r.rank}")
+        actions = tuple(label_matrix(M, e.label).tolist() for e in self.edges)
+        mnames = M.mnames if M is not None else self.mnames
+        if mnames is None:
+            sizes = {len(rows) for rows in actions}
+            if len(sizes) != 1:
+                raise OutOfRange(f"labels of sizes {sorted(sizes)} fix no module size")
+            mnames = tuple(f"L{k}" for k in range(sizes.pop()))
+        if any(len(rows) != len(mnames) for rows in actions):
+            raise OutOfRange(f"a label's matrix does not act on the {len(mnames)} module simples")
+        object.__setattr__(self, "_module", M)
+        object.__setattr__(self, "_mnames", tuple(mnames))
+        object.__setattr__(self, "edge_actions", actions)
 
     @property
     def nv(self) -> int:
@@ -61,22 +86,15 @@ class FusionQuiver:
         )
 
     def resolved_module(self) -> ModuleCategory | None:
-        if self.module is not None:
-            return self.module
-        if self.ring is not None:
-            return regular_module(self.ring)
-        return None
+        return self._module
 
     def module_names(self) -> tuple:
-        m = self.resolved_module()
-        if m is not None:
-            return m.mnames
-        if self.mnames is not None:
-            return self.mnames
-        sizes = {e.label.size for e in self.edges if isinstance(e.label, ActionLabel)}
-        if len(sizes) != 1:
-            raise ValueError("cannot infer module size in partial mode")
-        return tuple(f"L{k}" for k in range(sizes.pop()))
+        return self._mnames
+
+
+def _with_module(Q: FusionQuiver, M: ModuleCategory | None) -> FusionQuiver:
+    """Q acting on M instead of its own module; Q itself when M is None."""
+    return Q if M is None else replace(Q, module=M)
 
 
 def _zero_label(label) -> bool:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -19,15 +19,8 @@ from .errors import (
     OutOfRange,
     SignCoherenceViolation,
 )
-from .module import (
-    ActionLabel,
-    ModuleCategory,
-    label_matrix,
-    module_fpdims,
-    regular_module,
-    sign_class,
-)
-from .quiver import Edge, FusionQuiver, label_fpdim
+from .module import ActionLabel, ModuleCategory, module_fpdims, sign_class
+from .quiver import Edge, FusionQuiver, _with_module, label_fpdim
 from .ring import (
     FusionRing,
     INFINITY,
@@ -108,18 +101,15 @@ def real_bilinear_form(Q: FusionQuiver):
     return g
 
 
-def _vertex_actions(Q: FusionQuiver, M: ModuleCategory | None) -> list:
+def _vertex_actions(Q: FusionQuiver) -> list:
     """Per vertex v, the (neighbor, matrix rows) pairs of the reflection at
     v: the transposed label matrix for an arrow out of v, the label matrix
     for an arrow into v.  A loop counts once, through its dual action."""
-    if M is None and not Q.partial_mode:
-        M = Q.resolved_module()
     acts = [[] for _ in range(Q.nv)]
-    for e in Q.edges:
-        mat = label_matrix(M, e.label)
-        acts[e.source].append((e.target, mat.T.tolist()))
+    for e, rows in zip(Q.edges, Q.edge_actions):
+        acts[e.source].append((e.target, tuple(zip(*rows))))
         if e.target != e.source:
-            acts[e.target].append((e.source, mat.tolist()))
+            acts[e.target].append((e.source, rows))
     return acts
 
 
@@ -135,7 +125,7 @@ def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tupl
     """Simple reflection at vertex v acting on a dimension vector: the
     coefficient at v becomes minus itself plus the (dual-)label actions on
     the neighboring coefficients; an involution."""
-    return _reflect(_vertex_actions(Q, M), v, tuple(x))
+    return _reflect(_vertex_actions(_with_module(Q, M)), v, tuple(x))
 
 
 def dimvec_fpdim(M: ModuleCategory, x, mu=None):
@@ -364,25 +354,15 @@ def rank_two_order(ring: FusionRing | None, pi, module: ModuleCategory | None = 
     """Order of sigma_a sigma_b for the one-edge quiver labeled pi, computed
     three independent ways (FP-dimension angle, minimal vanishing quantum
     number, reflection orbit size) and cross-checked."""
-    results = {}
-
-    if isinstance(pi, ActionLabel):
-        f = pi.fpdim()
-        M = module
-        msize = pi.size
-    else:
-        if ring is None:
-            raise ValueError("ring required for ring-element labels")
-        f = fpdim_of(ring, pi)
-        M = module if module is not None else regular_module(ring)
-        msize = M.msize
-    results["angle"] = angle_label(f)
+    Q = _two_vertex_quiver(ring, pi, module)
+    results = {"angle": angle_label(label_fpdim(Q, pi))}
 
     if not isinstance(pi, ActionLabel):
         K = 2 * results["angle"] + 2 if results["angle"] != INFINITY else 50
         results["qnum"] = sign_coherence(ring, pi, K).minimal_m
 
-    acts = _vertex_actions(_two_vertex_quiver(ring, pi, module), M)
+    acts = _vertex_actions(Q)
+    msize = len(Q.module_names())
     orbit_sizes = set()
     for l in range(msize):
         start = dimvec_basis(2, msize, 0, tuple(1 if j == l else 0 for j in range(msize)))
@@ -484,13 +464,13 @@ def enumerate_indecomposables(Q: FusionQuiver, M: ModuleCategory | None = None):
     return sorted(fold_root(U, r) for r in _roots(U, verdict.unfolded))
 
 
-def _closure(Q, M, starts, keep, what: str) -> set:
+def _closure(Q, starts, keep, what: str) -> set:
     """The vectors reached from `starts` by simple reflections through
     vectors that pass `keep`.  Without a loop these are real roots of the
     unfolding, so an entry beyond the root bound proves infinite type."""
     if any(e.source == e.target for e in Q.edges):
         raise InfiniteType(f"{what}: a loop makes the type infinite")
-    acts = _vertex_actions(Q, M)
+    acts = _vertex_actions(Q)
     seen = set(starts)
     frontier = list(starts)
     while frontier:
@@ -511,15 +491,14 @@ def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None):
     """Independent enumeration oracle: reflection closure of the simple
     dimension vectors [L] alpha_v directly in the module-coefficient lattice,
     keeping positive vectors."""
-    if M is None:
-        M = Q.resolved_module()
-    msize = M.msize if M is not None else len(Q.module_names())
+    Q = _with_module(Q, M)
+    msize = len(Q.module_names())
     starts = [
         dimvec_basis(Q.nv, msize, v, tuple(1 if j == l else 0 for j in range(msize)))
         for v in range(Q.nv)
         for l in range(msize)
     ]
-    return sorted(_closure(Q, M, starts, dimvec_is_positive, "closure"))
+    return sorted(_closure(Q, starts, dimvec_is_positive, "closure"))
 
 
 @dataclass(frozen=True)
@@ -536,9 +515,10 @@ def extended_positive_roots(Q: FusionQuiver) -> ExtendedRootReport:
     if Q.partial_mode:
         raise MissingAction("extended roots need full-ring mode")
     ring = Q.ring
-    M = regular_module(ring)
+    if Q.module is not None:
+        Q = replace(Q, module=None)  # onto the regular module
     starts = [dimvec_basis(Q.nv, ring.rank, v, ring.one) for v in range(Q.nv)]
-    orbit = _closure(Q, M, starts, lambda y: True, "orbit closure")
+    orbit = _closure(Q, starts, lambda y: True, "orbit closure")
     positives = {x for x in orbit if dimvec_is_positive(x)}
 
     orbits = []
@@ -552,7 +532,7 @@ def extended_positive_roots(Q: FusionQuiver) -> ExtendedRootReport:
             extended.add(scaled)
         orbits.append((r, tuple(mults)))
 
-    expected = set(enumerate_indecomposables(Q, M))
+    expected = set(enumerate_indecomposables(Q))
     if extended != expected:
         raise InconsistentVerdict(
             "extended roots do not match the enumerated indecomposables"

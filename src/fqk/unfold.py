@@ -6,16 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InconsistentVerdict,
-    InfiniteComponent,
-    MissingAction,
-)
-from .module import ModuleCategory, _graph_components, label_matrix
+from .errors import InconsistentVerdict, InfiniteComponent
+from .module import ModuleCategory, _graph_components
 from .quiver import (
     CoxeterClassification,
     FusionQuiver,
     _coxeter_pattern,
+    _with_module,
     classify_coxeter,
     labeled_graph,
 )
@@ -49,25 +46,18 @@ class UnfoldedQuiver:
             f"{self.qvertices[v]},{self.mnames[l]}" for v, l in self.vertices
         )
 
-    def index(self, v: int, l: int) -> int:
-        return v * len(self.mnames) + l
-
 
 def unfold(Q: FusionQuiver, M: ModuleCategory | None = None) -> UnfoldedQuiver:
     """The ordinary quiver on pairs (vertex, module simple): an arrow
     (s,L) -> (t,L') for each unit of the label's action multiplicity at
     (L',L)."""
-    if M is None:
-        M = Q.resolved_module()
-    mnames = M.mnames if M is not None else Q.module_names()
+    Q = _with_module(Q, M)
+    mnames = Q.module_names()
     n = len(mnames)
     vertices = tuple((v, l) for v in range(Q.nv) for l in range(n))
     arrows = []
-    for e in Q.edges:
-        mat = label_matrix(M, e.label)
-        if len(mat) != n:
-            raise MissingAction("label matrix size does not match module")
-        for l, column in enumerate(mat.T.tolist()):
+    for e, rows in zip(Q.edges, Q.edge_actions):
+        for l, column in enumerate(zip(*rows)):
             arrows += [
                 (e.source * n + l, e.target * n + lp, m)
                 for lp, m in enumerate(column)
@@ -75,7 +65,7 @@ def unfold(Q: FusionQuiver, M: ModuleCategory | None = None) -> UnfoldedQuiver:
             ]
     return UnfoldedQuiver(
         qvertices=tuple(Q.vertices),
-        mnames=tuple(mnames),
+        mnames=mnames,
         vertices=vertices,
         arrows=tuple(arrows),
     )

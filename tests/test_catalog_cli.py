@@ -17,6 +17,7 @@ from fqk.io import (
     check_dot,
     dumps,
     gamma_dot,
+    module_to_dict,
     quiver_dot,
     quiver_from_dict,
     quiver_to_dict,
@@ -116,10 +117,11 @@ class TestCLI:
         assert "valid" in capsys.readouterr().out.lower()
 
     @staticmethod
-    def validate_counting(monkeypatch, capsys, fmt, owner, name, entry, param):
-        """`fqk validate --builtin <entry> <param>` on a freshly built catalog
-        entry, counting the calls of the validator `owner.<name>`, which the
-        catalog imports as well; the sizes of the validated objects."""
+    def validate_counting(monkeypatch, capsys, fmt, owner, name, source):
+        """`fqk validate <source>` on a file or on a freshly built catalog
+        entry (`--builtin <entry> <param>`), counting the calls of the
+        validator `owner.<name>`, which the catalog and the CLI import as
+        well; the sizes of the validated objects."""
         import fqk.catalog
 
         calls, real = [], getattr(owner, name)
@@ -128,14 +130,15 @@ class TestCLI:
             calls.append(getattr(obj, "rank", None) or obj.msize)
             return real(obj)
 
-        monkeypatch.setattr(fqk.catalog, name, counting)
-        monkeypatch.setattr(owner, name, counting)
-        cached = getattr(fqk.catalog, entry)
-        cached.cache_clear()
+        for imported in (owner, fqk.catalog, cli):
+            monkeypatch.setattr(imported, name, counting)
+        cached = getattr(fqk.catalog, source[1], None) if source[0] == "--builtin" else None
+        clear = getattr(cached, "cache_clear", lambda: None)
+        clear()
         try:
-            assert cli.main(["validate", "--builtin", entry, param, *fmt]) == 0
+            assert cli.main(["validate", *source, *fmt]) == 0
         finally:
-            cached.cache_clear()
+            clear()
         out = capsys.readouterr().out
         if fmt:
             assert json.loads(out) == {"ok": True, "violations": [], "warnings": []}
@@ -148,7 +151,7 @@ class TestCLI:
         import fqk.ring
 
         calls = self.validate_counting(
-            monkeypatch, capsys, fmt, fqk.ring, "validate", "verlinde_sl2", "5"
+            monkeypatch, capsys, fmt, fqk.ring, "validate", ["--builtin", "verlinde_sl2", "5"]
         )
         assert calls == [6]
 
@@ -157,24 +160,90 @@ class TestCLI:
         import fqk.module
 
         calls = self.validate_counting(
-            monkeypatch, capsys, fmt, fqk.module, "validate_module", "verlinde_typeD", "6"
+            monkeypatch, capsys, fmt, fqk.module, "validate_module",
+            ["--builtin", "verlinde_typeD", "6"],
         )
         assert calls == [5]
 
-    @pytest.mark.parametrize(
-        "edge",
-        [{"from": 0, "to": 2, "label": "tau"}, {"from": 0, "to": 1, "label": [1]}],
-        ids=["endpoint", "label_length"],
-    )
-    def test_bad_quiver_exit_1(self, tmp_path, capsys, edge):
-        from fqk.io import ring_to_dict
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    @pytest.mark.parametrize("kind", ["ring", "module"])
+    def test_validate_file_validates_once(self, monkeypatch, capsys, tmp_path, fmt, kind):
+        import fqk.module
+        import fqk.ring
 
+        path = tmp_path / f"{kind}.json"
+        if kind == "ring":
+            owner, name, data, want = fqk.ring, "validate", ring_to_dict(catalog.verlinde_sl2(5)), [6]
+        else:
+            owner, name, want = fqk.module, "validate_module", [5]
+            data = module_to_dict(catalog.verlinde_typeD(6))
+        path.write_text(dumps(data))
+        calls = self.validate_counting(
+            monkeypatch, capsys, fmt, owner, name, [f"--{kind}", str(path)]
+        )
+        assert calls == want
+
+    @pytest.mark.parametrize(
+        "edge, ring",
+        [
+            ({"from": 0, "to": 2, "label": "tau"}, True),
+            ({"from": 0, "to": 1, "label": [1]}, True),
+            ({"from": 0, "to": 1, "label": [1]}, False),
+        ],
+        ids=["endpoint", "label_length", "ring_label_without_ring"],
+    )
+    def test_bad_quiver_exit_1(self, tmp_path, capsys, edge, ring):
         path = tmp_path / "bad_quiver.json"
-        path.write_text(dumps({
-            "vertices": ["a", "b"], "edges": [edge], "ring": ring_to_dict(catalog.fibonacci()),
-        }))
+        data = {"vertices": ["a", "b"], "edges": [edge]}
+        if ring:
+            data["ring"] = ring_to_dict(catalog.fibonacci())
+        path.write_text(dumps(data))
         assert cli.main(["classify", "--quiver", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fpdim", "--ring", "{ring}"],
+            ["rank2", "--ring", "{ring}", "--object", "tau"],
+            ["qnum", "--ring", "{ring}", "--object", "tau"],
+            ["classify", "--quiver", "{quiver}"],
+            ["mckay", "--module", "{module}", "--label", "V1"],
+            ["classify", "--builtin", "verlinde_l4_quiver", "--module", "{module}"],
+        ],
+        ids=["fpdim", "rank2", "qnum", "quiver_ring", "mckay", "classify_module"],
+    )
+    def test_invalid_file_exit_1(self, tmp_path, capsys, argv):
+        ring = dict(ring_to_dict(catalog.fibonacci()), dual=[0, 5])
+        module = module_to_dict(catalog.verlinde_typeD(4))
+        module["act"][0][0][0] = 2  # the unit no longer acts as the identity
+        quiver = {"vertices": ["a", "b"], "edges": [{"from": 0, "to": 1, "label": "tau"}], "ring": ring}
+        paths = {}
+        for kind, data in (("ring", ring), ("module", module), ("quiver", quiver)):
+            paths[kind] = str(tmp_path / f"{kind}.json")
+            (tmp_path / f"{kind}.json").write_text(dumps(data))
+        argv = [a.format(**paths) for a in argv]
+        assert cli.main(argv) == 1
+        path = next(a for a in argv if a in paths.values())
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--format", "json"],
+            ["enumerate", "--format", "json"],
+            ["unfold", "--format", "json"],
+            ["dot", "--what", "unfolded"],
+        ],
+        ids=["classify", "enumerate", "unfold", "dot"],
+    )
+    def test_module_option_replaces_the_quivers_module(self, tmp_path, capsys, argv):
+        path = tmp_path / "typeD4.json"
+        path.write_text(dumps(module_to_dict(catalog.verlinde_typeD(4))))
+        assert cli.main([*argv, "--builtin", "verlinde_l4_quiver", "--module", str(path)]) == 0
+        replaced = capsys.readouterr().out
+        assert cli.main([*argv, "--builtin", "verlinde_l4_typeD_quiver"]) == 0
+        assert replaced == capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "text, message",
@@ -276,10 +345,12 @@ class TestCLI:
         ) == 0
         assert check_dot(outfile.read_text())
 
-    def test_usage_error_exit_2(self, capsys):
+    def test_usage_error_exit_2(self, tmp_path, capsys):
         assert cli.main(["classify"]) == 2  # no input given
         assert cli.main(["classify", "--builtin", "nope"]) == 2
         assert cli.main(["classify", "--quiver", "/no/such/file.json"]) == 2
+        assert cli.main(["classify", "--quiver", str(tmp_path)]) == 2  # a directory
+        assert cli.main(["dot", "--in", "q.json"]) == 2  # --quiver is the one spelling
 
     def test_validation_failure_exit_1(self, tmp_path, capsys):
         # a ring violating rigidity exits 1 under validate

@@ -4,23 +4,30 @@ import random
 import pytest
 
 from fqk import (
+    ActionLabel,
     Edge,
     FusionQuiver,
+    MissingAction,
     NotReflectable,
     OutOfRange,
     admissible_sink_ordering,
     catalog,
     classify_coxeter,
     coxeter_graph,
+    enumerate_by_closure,
+    enumerate_indecomposables,
     is_finite_type,
     labeled_graph,
     normalize,
     reflect_quiver,
+    unfold,
 )
 from fqk.quiver import CoxeterGraph
 from fqk.ring import INFINITY
 
 from conftest import BUILTIN_QUIVERS
+
+IDENTITY3 = ActionLabel.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def path_graph(labels):
@@ -50,6 +57,51 @@ class TestBoundary:
     def test_label_length_not_rank(self, label):
         with pytest.raises(OutOfRange):
             FusionQuiver(("a", "b"), (Edge(0, 1, label),), ring=catalog.fibonacci())
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [[0, -1], [-1, 0]]],
+        ids=["2x3", "ragged", "negative"],
+    )
+    def test_action_label_not_square_non_negative(self, rows):
+        with pytest.raises(OutOfRange):
+            ActionLabel.from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            # at the parent, the closure oracle returned 30 vectors here
+            ({"edges": (Edge(0, 1, IDENTITY3),), "ring": catalog.fibonacci()}, OutOfRange),
+            # ... a ragged vector from reflect_dimvec, a ValueError from unfold
+            ({"edges": (Edge(0, 1, IDENTITY3), Edge(1, 2, ActionLabel.from_rows([[1, 0], [0, 1]])))}, OutOfRange),
+            # ... 6 vectors from the closure oracle
+            ({"edges": (Edge(0, 1, IDENTITY3),), "mnames": ("x", "y")}, OutOfRange),
+            ({"edges": (Edge(0, 1, (0, 1)),)}, MissingAction),
+            ({"edges": ()}, OutOfRange),  # nothing fixes the module size
+        ],
+        ids=["fibonacci_3x3", "sizes_3_and_2", "mnames_2_label_3x3", "ring_label_no_ring", "no_module_size"],
+    )
+    def test_labels_must_act_on_one_module(self, kwargs, error):
+        with pytest.raises(error):
+            FusionQuiver(("a", "b", "c"), **kwargs)
+
+    def test_explicit_module_must_fit_the_labels(self):
+        with pytest.raises(OutOfRange):
+            unfold(catalog.fib_edge_quiver(), catalog.verlinde_typeD(4))
+
+    def test_built_quiver_resolves_no_action_again(self, monkeypatch):
+        import fqk.module
+
+        Q = catalog.fib_h4_quiver()
+        calls, real = [], fqk.module.action_matrix_of
+        monkeypatch.setattr(
+            fqk.module, "action_matrix_of", lambda *a: calls.append(1) or real(*a)
+        )
+        is_finite_type(Q)
+        enumerate_indecomposables(Q)
+        enumerate_by_closure(Q)
+        assert calls == []
+        normalize(Q)  # a new quiver resolves its edges once
+        assert len(calls) == len(Q.edges)
 
 
 class TestNormalize:

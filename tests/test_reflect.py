@@ -585,6 +585,16 @@ class TestExtendedRoots:
         from_orbits = {x for _, mults in rep.orbits for x in mults}
         assert from_orbits == set(rep.extended)
 
+    @pytest.mark.parametrize(
+        "key, phi_plus, extended, own_module",
+        [("verlinde_l4_typeD_quiver", 12, 30, 24), ("verlinde_l2_typeD_quiver", 8, 12, 12)],
+    )
+    def test_type_d_quiver_runs_over_the_regular_module(self, key, phi_plus, extended, own_module):
+        Q = BUILTIN_QUIVERS[key]
+        rep = extended_positive_roots(Q)
+        assert (len(rep.phi_plus), len(rep.extended)) == (phi_plus, extended)
+        assert len(enumerate_indecomposables(Q)) == own_module
+
 
 @pytest.fixture
 def reflection_budget(monkeypatch):
