@@ -59,9 +59,12 @@ from .unfold import (
     FiniteTypeVerdict,
     UnfoldedQuiver,
     components,
+    enumerate_indecomposables,
+    fold_root,
     is_finite_type,
     positive_roots_simply_laced,
     unfold,
+    unfold_coords,
 )
 from .reflect import (
     BilinearFormQ,
@@ -70,9 +73,7 @@ from .reflect import (
     SignCoherenceReport,
     bilinear_form,
     enumerate_by_closure,
-    enumerate_indecomposables,
     extended_positive_roots,
-    fold_root,
     matrix_power_identity_check,
     qnum_free,
     qnum_in_ring,
@@ -80,7 +81,6 @@ from .reflect import (
     real_bilinear_form,
     reflect_dimvec,
     sign_coherence,
-    unfold_coords,
     x_ell_dimvec,
 )
 from . import catalog

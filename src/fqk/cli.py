@@ -15,15 +15,9 @@ from . import io as fio
 from .errors import FQKError
 from .module import ActionLabel, ModuleCategory, mckay_quiver, regular_module, validate_module
 from .quiver import FusionQuiver, coxeter_graph, classify_coxeter, labeled_graph, normalize
-from .ring import FusionRing, INFINITY, ValidationReport, fpdim, fpdim_of, validate
-from .reflect import (
-    enumerate_indecomposables,
-    qnum_free,
-    qnum_in_ring,
-    rank_two_order,
-    sign_coherence,
-)
-from .unfold import is_finite_type, unfold
+from .ring import FusionRing, ValidationReport, fmt_m, fpdim, fpdim_of, validate
+from .reflect import qnum_free, qnum_in_ring, rank_two_order, sign_coherence
+from .unfold import enumerate_indecomposables, is_finite_type, unfold
 
 
 class UsageError(Exception):
@@ -118,10 +112,6 @@ def _emit(args, data: dict, text: str) -> None:
         print(text)
 
 
-def _fmt_m(m) -> str:
-    return "inf" if m == INFINITY else str(int(m))
-
-
 def cmd_validate(args) -> int:
     builtin = getattr(args, "builtin", None)
     if getattr(args, "module", None) or (
@@ -174,7 +164,7 @@ def cmd_gamma(args) -> int:
                     "vertices": list(c.vertices),
                     "type": c.type_name,
                     "finite": c.finite,
-                    "coxeter_number": _fmt_m(c.coxeter_number),
+                    "coxeter_number": fmt_m(c.coxeter_number),
                 }
                 for c in cls.components
             ]
@@ -187,16 +177,6 @@ def cmd_gamma(args) -> int:
 def cmd_classify(args) -> int:
     Q = _get_quiver(args)
     verdict = is_finite_type(Q)
-    comps = ", ".join(
-        f"{c.type_name} (h={_fmt_m(c.coxeter_number)}, "
-        f"{_fmt_m(c.positive_root_count)} roots)"
-        for c in verdict.unfolded.components
-    )
-    gamma = ", ".join(verdict.gamma.type_names())
-    text = (
-        f"{'finite' if verdict.finite else 'infinite'}; "
-        f"Gamma = {gamma}; unfolded = {comps}"
-    )
     _emit(
         args,
         {
@@ -205,23 +185,19 @@ def cmd_classify(args) -> int:
             "components": [
                 {
                     "type": c.type_name,
-                    "coxeter_number": _fmt_m(c.coxeter_number),
-                    "roots": _fmt_m(c.positive_root_count),
+                    "coxeter_number": fmt_m(c.coxeter_number),
+                    "roots": fmt_m(c.positive_root_count),
                 }
                 for c in verdict.unfolded.components
             ],
         },
-        text,
+        str(verdict),
     )
     return 0
 
 
 def cmd_unfold(args) -> int:
-    Q = _get_quiver(args)
-    U = unfold(Q)
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(fio.unfolded_dot(U))
+    U = unfold(_get_quiver(args))
     names = U.vertex_names()
     lines = [f"{len(U.vertices)} vertices, {len(U.arrows)} arrows"]
     lines += [f"{names[s]} -> {names[t]} x{m}" for s, t, m in U.arrows]
@@ -298,14 +274,14 @@ def cmd_qnum(args) -> int:
     ring = _get_ring(args)
     pi = _parse_object(ring, args.object)
     report = sign_coherence(ring, pi, args.upto)
-    rows = [f"minimal m: {_fmt_m(report.minimal_m)}"]
+    rows = [f"minimal m: {fmt_m(report.minimal_m)}"]
     for k in range(1, args.upto + 1):
         vd = qnum_in_ring(ring, pi, k, "d")
         rows.append(f"[{k}]_d = {list(vd)} ({report.signs_d[k-1]})")
     _emit(
         args,
         {
-            "minimal_m": _fmt_m(report.minimal_m),
+            "minimal_m": fmt_m(report.minimal_m),
             "signs_d": list(report.signs_d),
             "signs_dp": list(report.signs_dp),
         },
@@ -318,7 +294,7 @@ def cmd_rank2(args) -> int:
     ring = _get_ring(args)
     pi = _parse_object(ring, args.object)
     m = rank_two_order(ring, pi)
-    _emit(args, {"order": _fmt_m(m)}, _fmt_m(m))
+    _emit(args, {"order": fmt_m(m)}, fmt_m(m))
     return 0
 
 
@@ -381,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unfold", help="unfolded ordinary quiver")
     _add_common(p, quiver=True, module=True)
-    p.add_argument("--dot", default=None)
     p.set_defaults(fn=cmd_unfold)
 
     p = sub.add_parser("enumerate", help="indecomposable dimension vectors")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .module import ActionLabel, ModuleCategory
 from .quiver import CoxeterGraph, Edge, FusionQuiver
-from .ring import FusionRing, INFINITY
+from .ring import FusionRing, fmt_m
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +172,8 @@ def gamma_dot(G: CoxeterGraph) -> str:
     for v in G.vertices:
         lines.append(f"  {_q(v)};")
     for u, v, m in G.edges:
-        lbl = "inf" if m == INFINITY else str(int(m))
         lines.append(
-            f"  {_q(G.vertices[u])} -- {_q(G.vertices[v])} [label={_q(lbl)}];"
+            f"  {_q(G.vertices[u])} -- {_q(G.vertices[v])} [label={_q(fmt_m(m))}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

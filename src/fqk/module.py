@@ -46,10 +46,6 @@ class ActionLabel:
             fpdim_override=fpdim_override,
         )
 
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
     def transpose(self) -> "ActionLabel":
         return ActionLabel(
             matrix=tuple(zip(*self.matrix)), fpdim_override=self.fpdim_override
@@ -131,8 +127,13 @@ def validate_module(M: ModuleCategory) -> ValidationReport:
     ring = M.ring
     r, n = ring.rank, M.msize
 
+    if ring.unit not in range(r):
+        rep.violations.append(f"ring unit {ring.unit!r} is not a simple index")
+    if len(ring.dual) != r or any(d not in range(r) for d in ring.dual):
+        rep.violations.append("ring dual is not a list of simple indices")
     if len(M.act) != r:
         rep.violations.append("number of action matrices != ring rank")
+    if rep.violations:
         return rep
     for i in range(r):
         if len(M.act[i]) != n or any(len(row) != n for row in M.act[i]):

@@ -1,7 +1,8 @@
-"""Ring-valued bilinear form of a fusion quiver, the reflection action on
-dimension vectors, two-colored quantum numbers (free and specialized),
-rank-two orders, sign coherence, and enumeration of indecomposable dimension
-vectors via root systems."""
+"""The independent oracles: the ring-valued bilinear form of a fusion quiver,
+the reflection action on dimension vectors and its closures, two-colored
+quantum numbers (free and specialized), sign coherence and the rank-two
+order.  They re-derive what the main path (ring, module, quiver, unfold)
+decides; no module on that path imports this one."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .errors import (
     OutOfRange,
     SignCoherenceViolation,
 )
-from .module import ActionLabel, ModuleCategory, module_fpdims, sign_class
+from .module import ActionLabel, ModuleCategory, act_on, sign_class
 from .quiver import Edge, FusionQuiver, _with_module, label_fpdim
 from .ring import (
     FusionRing,
@@ -34,7 +35,7 @@ from .ring import (
     scale,
     sub,
 )
-from .unfold import ROOT_CLOSURE_CAP, _cross_checked, _roots, unfold
+from .unfold import ROOT_CLOSURE_CAP, enumerate_indecomposables
 
 # Gabriel: no positive root of an A/D/E quiver has an entry above 6, the
 # largest coefficient of the highest root of E8
@@ -126,27 +127,6 @@ def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tupl
     coefficient at v becomes minus itself plus the (dual-)label actions on
     the neighboring coefficients; an involution."""
     return _reflect(_vertex_actions(_with_module(Q, M)), v, tuple(x))
-
-
-def dimvec_fpdim(M: ModuleCategory, x, mu=None):
-    """Entrywise FP dimension of a dimension vector: one real per vertex."""
-    if mu is None:
-        mu = module_fpdims(M)
-    return np.array([sum(c * d for c, d in zip(a, mu)) for a in x])
-
-
-def reflect_real(Q: FusionQuiver, v: int, y):
-    """The real shadow of reflect_dimvec on per-vertex FP dimensions."""
-    fpv = fpdim(Q.ring) if Q.ring is not None else None
-    out = np.array(y, dtype=float)
-    acc = -y[v]
-    for e in Q.edges:
-        if e.source == v:
-            acc += label_fpdim(Q, e.label, fpv) * y[e.target]
-        elif e.target == v:
-            acc += label_fpdim(Q, e.label, fpv) * y[e.source]
-    out[v] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +402,6 @@ def x_ell_dimvec(ring: FusionRing, M: ModuleCategory, pi, L, ell: int):
     """Dimension vector of the ell-th zigzag indecomposable over the one-edge
     quiver, seeded at module simple L: the closed form in two-colored quantum
     numbers acting on [L]."""
-    from .module import act_on
-
     m = rank_two_order(ring, pi, module=M)
     if ell < 1 or (m != INFINITY and ell > m):
         raise OutOfRange(f"ell = {ell} outside 1..{m}")
@@ -439,30 +417,7 @@ def x_ell_dimvec(ring: FusionRing, M: ModuleCategory, pi, L, ell: int):
 
 
 # ---------------------------------------------------------------------------
-# enumeration
-
-def fold_root(U, root: tuple) -> tuple:
-    """Fold an unfolded positive root back to a dimension vector: the module
-    coefficient at quiver vertex v collects the root entries over (v, L)."""
-    nm = len(U.mnames)
-    return tuple(root[v * nm:(v + 1) * nm] for v in range(len(U.qvertices)))
-
-
-def unfold_coords(x) -> tuple:
-    """Flatten a dimension vector to unfolded coordinates (vertex-major)."""
-    return tuple(c for a in x for c in a)
-
-
-def enumerate_indecomposables(Q: FusionQuiver, M: ModuleCategory | None = None):
-    """Dimension vectors of all indecomposable representations of a
-    finite-type quiver: positive roots of the unfolding, folded back, sorted
-    lexicographically."""
-    U = unfold(Q, M)
-    verdict = _cross_checked(Q, U)
-    if not verdict.finite:
-        raise InfiniteType("quiver is of infinite representation type")
-    return sorted(fold_root(U, r) for r in _roots(U, verdict.unfolded))
-
+# the reflection closures
 
 def _closure(Q, starts, keep, what: str) -> set:
     """The vectors reached from `starts` by simple reflections through

@@ -54,6 +54,8 @@ class ValidationReport:
 def _derive_dual(names, unit, N):
     """The dual permutation: for each i, the unique j with N[i][j][unit] = 1."""
     rank = len(names)
+    if unit not in range(rank):
+        raise ValueError(f"cannot derive the dual: unit {unit!r} is not a simple index")
     dual = []
     for i in range(rank):
         hits = [j for j in range(rank) if N[i][j][unit] != 0]
@@ -156,6 +158,9 @@ def validate(ring: FusionRing) -> ValidationReport:
         if len(N[i]) != r or any(len(N[i][j]) != r for j in range(r)):
             rep.violations.append(f"N[{i}] has wrong shape")
             return rep
+    if unit not in range(r):
+        rep.violations.append(f"unit {unit!r} is not a simple index")
+        return rep
 
     T = wide(ring.tensor)
     rep.violations += [
@@ -299,6 +304,11 @@ def fpdim_of(ring: FusionRing, x: RingElement, fpv: FPVector | None = None) -> f
 
 
 INFINITY = math.inf
+
+
+def fmt_m(m) -> str:
+    """An order, Coxeter number or root count as text: "inf" or the integer."""
+    return "inf" if m == INFINITY else str(int(m))
 
 
 def angle_label(f: float):

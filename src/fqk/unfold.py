@@ -1,12 +1,13 @@
 """Unfolding a fusion quiver to an ordinary quiver on V x Irr(M), ADE
-recognition of its components, the finite-type decision, and the
-positive-root reflection-closure oracle for simply laced quivers."""
+recognition of its components, the finite-type decision, the positive roots
+of simply laced quivers, and the enumeration of indecomposable dimension
+vectors as those roots folded back."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentVerdict, InfiniteComponent
+from .errors import InconsistentVerdict, InfiniteComponent, InfiniteType
 from .module import ModuleCategory, _graph_components
 from .quiver import (
     CoxeterClassification,
@@ -16,7 +17,7 @@ from .quiver import (
     classify_coxeter,
     labeled_graph,
 )
-from .ring import INFINITY
+from .ring import INFINITY, fmt_m
 
 ROOT_CLOSURE_CAP = 10**6
 
@@ -141,10 +142,14 @@ class FiniteTypeVerdict:
     unfolded: ComponentReport
 
     def __str__(self) -> str:
+        """The line `fqk classify` prints."""
         status = "finite" if self.finite else "infinite"
         gamma = ", ".join(self.gamma.type_names())
-        comps = ", ".join(self.unfolded.type_names())
-        return f"{status}; Gamma = {gamma}; unfolded components = {comps}"
+        comps = ", ".join(
+            f"{c.type_name} (h={fmt_m(c.coxeter_number)}, {fmt_m(c.positive_root_count)} roots)"
+            for c in self.unfolded.components
+        )
+        return f"{status}; Gamma = {gamma}; unfolded = {comps}"
 
 
 def is_finite_type(Q: FusionQuiver, M: ModuleCategory | None = None) -> FiniteTypeVerdict:
@@ -238,3 +243,26 @@ def _roots(U, rep: ComponentReport) -> frozenset:
                 y[v] = a
             roots.append(tuple(y))
     return frozenset(roots)
+
+
+def fold_root(U, root: tuple) -> tuple:
+    """Fold an unfolded positive root back to a dimension vector: the module
+    coefficient at quiver vertex v collects the root entries over (v, L)."""
+    nm = len(U.mnames)
+    return tuple(root[v * nm:(v + 1) * nm] for v in range(len(U.qvertices)))
+
+
+def unfold_coords(x) -> tuple:
+    """Flatten a dimension vector to unfolded coordinates (vertex-major)."""
+    return tuple(c for a in x for c in a)
+
+
+def enumerate_indecomposables(Q: FusionQuiver, M: ModuleCategory | None = None):
+    """Dimension vectors of all indecomposable representations of a
+    finite-type quiver: positive roots of the unfolding, folded back, sorted
+    lexicographically."""
+    U = unfold(Q, M)
+    verdict = _cross_checked(Q, U)
+    if not verdict.finite:
+        raise InfiniteType("quiver is of infinite representation type")
+    return sorted(fold_root(U, r) for r in _roots(U, verdict.unfolded))

@@ -73,19 +73,20 @@ def quiver_record(Q, extended=True) -> dict:
     """The verdict, the enumeration and the reflection oracles on Q: the
     closure and, unless `extended` is false, the extended roots."""
     v = is_finite_type(Q)
+    roots = v.unfolded.total_root_count()
     vecs = _attempt(enumerate_indecomposables, Q)
     out = {
         "finite": v.finite,
         "gamma": list(v.gamma.type_names()),
         "unfolded": list(v.unfolded.type_names()),
-        "roots": _m(v.unfolded.total_root_count()),
+        "roots": _m(roots),
         "indecomposables": (
             vecs if isinstance(vecs, dict) else {"count": len(vecs), "sha256": _sha(vecs)}
         ),
     }
-    if v.finite and v.unfolded.total_root_count() <= ORACLE_MAX_ROOTS:
+    if v.finite and roots <= ORACLE_MAX_ROOTS:
         out["closure_agrees"] = _attempt(lambda: enumerate_by_closure(Q) == vecs)
-    if extended and (not v.finite or v.unfolded.total_root_count() <= ORACLE_MAX_ROOTS):
+    if extended and (not v.finite or roots <= ORACLE_MAX_ROOTS):
         rep = _attempt(extended_positive_roots, Q)
         out["extended"] = rep if isinstance(rep, dict) else {
             "phi_plus": len(rep.phi_plus), "extended": len(rep.extended)
@@ -96,7 +97,7 @@ def quiver_record(Q, extended=True) -> dict:
 def ring_record(R, M=None, signs=None) -> dict:
     """The rank-two order of every simple of R (acting on M), and the
     sign-coherence m of each (simple name, K) in signs."""
-    out = {"rank2": {nm: _attempt(lambda p: _m(rank_two_order(R, p, M)), R.basis(nm))
+    out = {"rank2": {nm: _attempt(lambda: _m(rank_two_order(R, R.basis(nm), M)))
                      for nm in R.names}}
     if signs is not None:
         out["sign_m"] = [

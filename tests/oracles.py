@@ -6,14 +6,16 @@ The vectorized kernels in `fqk.ring` and `fqk.module` must reproduce their
 reports entry for entry, in the same order, and their FP dimensions bit for
 bit.  The per-component root closure in `fqk.unfold` must give the roots of
 the global-coordinate closure, and the reflection in `fqk.reflect` must
-agree with the per-edge action below.
+agree with the per-edge action below and, on FP dimensions, with its real
+shadow.
 """
 
 import numpy as np
 
 from fqk.errors import InfiniteComponent
-from fqk.module import label_matrix
-from fqk.ring import FPVector, ValidationReport, perron_eigenpair
+from fqk.module import label_matrix, module_fpdims
+from fqk.quiver import label_fpdim
+from fqk.ring import FPVector, ValidationReport, fpdim, perron_eigenpair
 
 
 def _left_mult(ring, i):
@@ -210,3 +212,24 @@ def edge_reflect_dimvec(Q, M, v, x) -> tuple:
     return tuple(
         tuple(int(c) for c in new_v) if w == v else x[w] for w in range(len(x))
     )
+
+
+def dimvec_fpdim(M, x, mu=None):
+    """Entrywise FP dimension of a dimension vector: one real per vertex."""
+    if mu is None:
+        mu = module_fpdims(M)
+    return np.array([sum(c * d for c, d in zip(a, mu)) for a in x])
+
+
+def reflect_real(Q, v: int, y):
+    """The real shadow of reflect_dimvec on per-vertex FP dimensions."""
+    fpv = fpdim(Q.ring) if Q.ring is not None else None
+    out = np.array(y, dtype=float)
+    acc = -y[v]
+    for e in Q.edges:
+        if e.source == v:
+            acc += label_fpdim(Q, e.label, fpv) * y[e.target]
+        elif e.target == v:
+            acc += label_fpdim(Q, e.label, fpv) * y[e.source]
+    out[v] = acc
+    return out

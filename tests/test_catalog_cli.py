@@ -280,11 +280,12 @@ class TestCLI:
         assert "I2(inf)" in capsys.readouterr().out
 
     def test_classify_fibonacci(self, capsys):
+        from fqk import is_finite_type
+
+        line = "finite; Gamma = I2(5); unfolded = A4 (h=5, 10 roots)"
         assert cli.main(["classify", "--builtin", "fib_edge_quiver"]) == 0
-        out = capsys.readouterr().out
-        assert "finite" in out
-        assert "I2(5)" in out
-        assert "A4" in out
+        assert capsys.readouterr().out == line + "\n"
+        assert str(is_finite_type(catalog.fib_edge_quiver())) == line
 
     def test_unfold_counts(self, capsys):
         assert cli.main(
@@ -351,6 +352,37 @@ class TestCLI:
         assert cli.main(["classify", "--quiver", "/no/such/file.json"]) == 2
         assert cli.main(["classify", "--quiver", str(tmp_path)]) == 2  # a directory
         assert cli.main(["dot", "--in", "q.json"]) == 2  # --quiver is the one spelling
+        assert cli.main(["unfold", "--dot", "x"]) == 2  # dot --what unfolded writes it
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate", "--module", "m_dual.json"], 1),
+            (["validate", "--ring", "r_unit.json"], 1),
+            (["fpdim", "--ring", "r_unit.json"], 1),
+            (["validate", "--module", "m_unit.json"], 1),
+            (["validate", "--ring", "r_unit_no_dual.json"], 2),
+            (["fpdim", "--ring", "r_unit_no_dual.json"], 2),
+        ],
+        ids=["module_dual", "validate_unit", "fpdim_unit", "module_unit",
+             "validate_unit_no_dual", "fpdim_unit_no_dual"],
+    )
+    def test_bad_unit_or_dual_one_line_error(self, tmp_path, capsys, monkeypatch, argv, code):
+        from fqk import regular_module
+
+        m_dual = module_to_dict(regular_module(catalog.verlinde_sl2(4)))
+        m_dual["ring"]["dual"] = [0, 1, 2, 3, 9]
+        r_unit = {**ring_to_dict(catalog.fibonacci()), "unit": 7}
+        m_unit = {**module_to_dict(regular_module(catalog.fibonacci())), "ring": "r_unit.json"}
+        r_unit_no_dual = {k: v for k, v in r_unit.items() if k != "dual"}
+        for name, d in [("m_dual", m_dual), ("r_unit", r_unit), ("m_unit", m_unit),
+                        ("r_unit_no_dual", r_unit_no_dual)]:
+            (tmp_path / f"{name}.json").write_text(dumps(d))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert len((captured.out + captured.err).strip().splitlines()) == 1
 
     def test_validation_failure_exit_1(self, tmp_path, capsys):
         # a ring violating rigidity exits 1 under validate

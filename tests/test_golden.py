@@ -34,3 +34,8 @@ def test_golden_covers_every_input():
 
 def test_file_is_in_canonical_form():
     assert make.OUTPUTS.read_text() == make.dumps(GOLDEN)
+
+
+def test_readme_table_is_current():
+    readme = (make.HERE.parents[1] / "README.md").read_text()
+    assert make.table(GOLDEN) in readme

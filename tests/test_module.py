@@ -61,6 +61,23 @@ class TestValidateModule:
                 )
 
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"unit": 7}, "ring unit 7 is not a simple index"),
+            ({"dual": (0, 1, 2, 3, 9)}, "ring dual is not a list of simple indices"),
+            ({"dual": (0, 1, 2)}, "ring dual is not a list of simple indices"),
+        ],
+        ids=["unit", "dual_index", "dual_length"],
+    )
+    def test_ring_it_cannot_index_reported(self, change, message):
+        from dataclasses import replace
+
+        M = regular_module(catalog.verlinde_sl2(4))
+        rep = validate_module(replace(M, ring=replace(M.ring, **change)))
+        assert rep.violations == [message]
+
+
 class TestRegularModule:
     def test_fibonacci_tau_matrix(self):
         M = regular_module(catalog.fibonacci())

@@ -33,16 +33,12 @@ from fqk import (
     x_ell_dimvec,
 )
 from fqk.module import sign_class
-from fqk.reflect import (
-    dimvec_basis,
-    dimvec_fpdim,
-    fold_root,
-    reflect_real,
-    unfold_coords,
-)
+from fqk.reflect import dimvec_basis
 from fqk.ring import INFINITY
+from fqk.unfold import fold_root, unfold_coords
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS, random_element
+from oracles import dimvec_fpdim, reflect_real
 
 # (ring key, label name) pairs exercising every builtin generator label
 BUILTIN_LABELS = [

@@ -45,6 +45,17 @@ class TestValidate:
         s4 = catalog.rep_s4()
         assert FusionRing.from_data(s4.names, s4.unit, s4.N).dual == s4.dual
 
+    @pytest.mark.parametrize("unit", [7, -1, "1"])
+    def test_unit_out_of_range_reported(self, unit):
+        fib = catalog.fibonacci()
+        rep = validate(FusionRing(names=fib.names, unit=unit, N=fib.N, dual=fib.dual))
+        assert rep.violations == [f"unit {unit!r} is not a simple index"]
+
+    def test_dual_not_derivable_without_a_unit(self):
+        fib = catalog.fibonacci()
+        with pytest.raises(ValueError, match="unit 7 is not a simple index"):
+            FusionRing.from_data(fib.names, 7, fib.N)
+
 
 class TestMultiply:
     def test_fibonacci_tau_squared(self):
