@@ -188,12 +188,13 @@ def sl3at5_action() -> ActionLabel:
     return ActionLabel.from_rows(mat)
 
 
-def _edge_quiver(ring, label_name, vertices=("a", "b")) -> FusionQuiver:
+def _edge_quiver(ring, label_name, module=None) -> FusionQuiver:
     return normalize(
         FusionQuiver(
-            vertices=vertices,
+            vertices=("a", "b"),
             edges=(Edge(0, 1, ring.basis(label_name)),),
             ring=ring,
+            module=module,
         )
     )
 
@@ -235,27 +236,11 @@ def verlinde_l4_quiver() -> FusionQuiver:
 
 
 def verlinde_l4_typeD_quiver() -> FusionQuiver:
-    ring = verlinde_sl2(4)
-    return normalize(
-        FusionQuiver(
-            vertices=("a", "b"),
-            edges=(Edge(0, 1, ring.basis("V1")),),
-            ring=ring,
-            module=verlinde_typeD(4),
-        )
-    )
+    return _edge_quiver(verlinde_sl2(4), "V1", verlinde_typeD(4))
 
 
 def verlinde_l2_typeD_quiver() -> FusionQuiver:
-    ring = verlinde_sl2(2)
-    return normalize(
-        FusionQuiver(
-            vertices=("a", "b"),
-            edges=(Edge(0, 1, ring.basis("V1")),),
-            ring=ring,
-            module=verlinde_typeD(2),
-        )
-    )
+    return _edge_quiver(verlinde_sl2(2), "V1", verlinde_typeD(2))
 
 
 def sl3at5_x_quiver() -> FusionQuiver:

@@ -9,11 +9,12 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 from . import catalog as cat
 from . import io as fio
 from .errors import FQKError
-from .module import ActionLabel, ModuleCategory, mckay_quiver, regular_module, validate_module
+from .module import ModuleCategory, mckay_quiver, regular_module, validate_module
 from .quiver import FusionQuiver, coxeter_graph, classify_coxeter, labeled_graph, normalize
 from .ring import FusionRing, ValidationReport, fmt_m, fpdim, fpdim_of, validate
 from .reflect import qnum_free, qnum_in_ring, rank_two_order, sign_coherence
@@ -24,33 +25,40 @@ class UsageError(Exception):
     pass
 
 
-def _builtin(args, kind):
-    spec = args.builtin
-    key, params = spec[0], spec[1:]
+def _user_input(fn, *args, source=None):
+    """fn(*args) on a value the user supplied, the one place user input is
+    converted: a KeyError, ValueError, TypeError or OverflowError (int() of an
+    infinite float) is a usage error, and a domain error keeps its type. Both
+    messages name `source` (a file or an option) when there is one."""
+    at = f"{source}: " if source else ""
     try:
-        obj = cat.builtin(key, *params)
+        return fn(*args)
     except KeyError as e:
-        raise UsageError(str(e))
-    want = {"ring": FusionRing, "module": ModuleCategory, "quiver": FusionQuiver}
-    if kind in want and not isinstance(obj, want[kind]):
-        raise UsageError(f"builtin {key!r} is not a {kind}")
+        raise UsageError(f"{at}missing key {e}" if source else str(e))
+    except (ValueError, TypeError, OverflowError) as e:  # JSONDecodeError is a ValueError
+        raise UsageError(f"{at}{e}")
+    except FQKError as e:
+        raise type(e)(f"{at}{e}")
+
+
+_KIND = {FusionRing: "ring", ModuleCategory: "module", FusionQuiver: "quiver"}
+
+
+def _builtin(args, *kinds):
+    """The catalog object --builtin names; with `kinds`, one of those types."""
+    obj = _user_input(cat.builtin, *args.builtin)
+    if kinds and not isinstance(obj, kinds):
+        raise UsageError(f"builtin {args.builtin[0]!r} is not a {_KIND[kinds[0]]}")
     return obj
 
 
-def _load(loader, path, checked=True):
-    """A fio.load_* call on a user's file: malformed content is a usage error.
-    Unless `checked` is false, each ring and module in the file is validated
-    once, ring first, and the first violation is a domain error."""
-    try:
-        obj = loader(path)
-    except KeyError as e:
-        raise UsageError(f"{path}: missing key {e}")
-    except (ValueError, TypeError) as e:  # json.JSONDecodeError is a ValueError
-        raise UsageError(f"{path}: {e}")
-    except FQKError as e:
-        raise type(e)(f"{path}: {e}")
+def _load(args, loader, path):
+    """The object a user's file holds, read by a fio.load_* call. Except under
+    `validate`, which reports on them instead, each ring and module in it is
+    validated once, ring first, and the first violation is a domain error."""
+    obj = _user_input(loader, path, source=path)
     M = obj if isinstance(obj, ModuleCategory) else getattr(obj, "module", None)
-    parts = [getattr(obj, "ring", obj), M and M.ring, M] if checked else []
+    parts = [] if args.command == "validate" else [getattr(obj, "ring", obj), M and M.ring, M]
     for k, part in enumerate(parts):
         if part is None or any(part is p for p in parts[:k]):
             continue
@@ -60,70 +68,69 @@ def _load(loader, path, checked=True):
     return obj
 
 
-def _get_ring(args, checked=True) -> FusionRing:
-    if getattr(args, "builtin", None):
-        return _builtin(args, "ring")
-    if getattr(args, "ring", None):
-        return _load(fio.load_ring, args.ring, checked)
+def _ring(args) -> FusionRing:
+    if args.builtin:
+        return _builtin(args, FusionRing)
+    if args.ring:
+        return _load(args, fio.load_ring, args.ring)
     raise UsageError("a ring is required (--ring or --builtin)")
 
 
-def _get_module(args, required=True, checked=True):
-    if getattr(args, "module", None):
-        return _load(fio.load_module, args.module, checked)
-    if getattr(args, "builtin", None):
-        obj = _builtin(args, "any")
-        if isinstance(obj, ModuleCategory):
-            return obj
-        if isinstance(obj, FusionRing):
-            return regular_module(obj)
-    if required:
-        raise UsageError("a module is required (--module or --builtin)")
-    return None
-
-
-def _get_quiver(args) -> FusionQuiver:
+def _quiver(args) -> FusionQuiver:
     """The quiver of --builtin or --quiver, normalized, acting on the module
     of --module when one is given."""
-    if getattr(args, "builtin", None):
-        Q = _builtin(args, "quiver")
-    elif getattr(args, "quiver", None):
-        Q = _load(fio.load_quiver, args.quiver)
+    if args.builtin:
+        Q = _builtin(args, FusionQuiver)
+    elif args.quiver:
+        Q = _load(args, fio.load_quiver, args.quiver)
     else:
         raise UsageError("a quiver is required (--quiver or --builtin)")
-    if getattr(args, "module", None):
-        Q = replace(Q, module=_get_module(args))
+    if args.module:
+        Q = replace(Q, module=_load(args, fio.load_module, args.module))
     return normalize(Q)
 
 
-def _parse_object(ring: FusionRing, spec: str):
-    if spec in ring.names:
-        return ring.basis(spec)
-    coeffs = tuple(int(x) for x in spec.replace(",", " ").split())
-    if len(coeffs) != ring.rank:
-        raise UsageError(f"object vector length {len(coeffs)} != rank {ring.rank}")
-    return coeffs
+def _object(args, ring: FusionRing):
+    """The ring element --object names: a simple, or its coefficients."""
+    if args.object in ring.names:
+        return ring.basis(args.object)
+    coeffs = args.object.replace(",", " ").split()
+    x = _user_input(lambda: tuple(map(int, coeffs)), source="--object")
+    if len(x) != ring.rank:
+        raise UsageError(f"object vector length {len(x)} != rank {ring.rank}")
+    return x
 
 
 def _emit(args, data: dict, text: str) -> None:
-    if getattr(args, "format", "table") == "json":
+    if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True, default=str))
     else:
         print(text)
 
 
+def _emit_arrows(args, names, arrows) -> int:
+    """The vertices and the (source, target, multiplicity) arrows of an
+    ordinary quiver."""
+    lines = [f"{len(names)} vertices, {len(arrows)} arrows"]
+    lines += [f"{names[s]} -> {names[t]} x{m}" for s, t, m in arrows]
+    _emit(
+        args,
+        {"vertices": list(names), "arrows": [[names[s], names[t], m] for s, t, m in arrows]},
+        "\n".join(lines),
+    )
+    return 0
+
+
 def cmd_validate(args) -> int:
-    builtin = getattr(args, "builtin", None)
-    if getattr(args, "module", None) or (
-        builtin and cat.catalog_kind(builtin[0]) == "module"
-    ):
-        check, obj = validate_module, _get_module(args, checked=False)
-        builtin = builtin and not args.module  # a module file comes first
+    if args.module:
+        rep = validate_module(_load(args, fio.load_module, args.module))
+    elif args.builtin:
+        # a catalog ring or module was validated when it was built, which
+        # raises on any violation or warning
+        _builtin(args, FusionRing, ModuleCategory)
+        rep = ValidationReport()
     else:
-        check, obj = validate, _get_ring(args, checked=False)
-    # a catalog ring or module was validated when it was built, which raises
-    # on any violation or warning
-    rep = ValidationReport() if builtin else check(obj)
+        rep = validate(_ring(args))
     _emit(
         args,
         {"ok": rep.ok, "violations": rep.violations, "warnings": rep.warnings},
@@ -133,24 +140,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fpdim(args) -> int:
-    ring = _get_ring(args)
+    ring = _ring(args)
     fpv = fpdim(ring)
     if args.object:
-        x = _parse_object(ring, args.object)
-        val = fpdim_of(ring, x, fpv)
+        val = fpdim_of(ring, _object(args, ring), fpv)
         _emit(args, {"object": args.object, "fpdim": val}, f"{val:.12g}")
     else:
-        rows = [f"{nm}: {d:.12g}" for nm, d in zip(ring.names, fpv.dims)]
-        _emit(
-            args,
-            {"dims": dict(zip(ring.names, fpv.dims))},
-            "\n".join(rows),
-        )
+        rows = "\n".join(f"{nm}: {d:.12g}" for nm, d in zip(ring.names, fpv.dims))
+        _emit(args, {"dims": dict(zip(ring.names, fpv.dims))}, rows)
     return 0
 
 
 def cmd_gamma(args) -> int:
-    Q = _get_quiver(args)
+    Q = _quiver(args)
     cls = classify_coxeter(labeled_graph(Q))
     names = ", ".join(
         c.type_name if c.finite else "I2(inf)" if len(c.vertices) == 2 else "infinite"
@@ -175,7 +177,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    Q = _get_quiver(args)
+    Q = _quiver(args)
     verdict = is_finite_type(Q)
     _emit(
         args,
@@ -197,23 +199,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_unfold(args) -> int:
-    U = unfold(_get_quiver(args))
-    names = U.vertex_names()
-    lines = [f"{len(U.vertices)} vertices, {len(U.arrows)} arrows"]
-    lines += [f"{names[s]} -> {names[t]} x{m}" for s, t, m in U.arrows]
-    _emit(
-        args,
-        {
-            "vertices": list(names),
-            "arrows": [[names[s], names[t], m] for s, t, m in U.arrows],
-        },
-        "\n".join(lines),
-    )
-    return 0
+    U = unfold(_quiver(args))
+    return _emit_arrows(args, U.vertex_names(), U.arrows)
 
 
 def cmd_enumerate(args) -> int:
-    Q = _get_quiver(args)
+    Q = _quiver(args)
     vecs = enumerate_indecomposables(Q)
     mnames = Q.module_names()
 
@@ -238,28 +229,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_mckay(args) -> int:
-    M = _get_module(args, required=False)
-    if M is None:
-        raise UsageError("mckay needs a module (--module or --builtin)")
-    if args.label.startswith("{"):
-        spec = json.loads(args.label)
-        label = ActionLabel.from_rows(spec["matrix"], spec.get("fpdim"))
+    if args.module:
+        M = _load(args, fio.load_module, args.module)
     else:
-        label = M.ring.basis(args.label)
-    q = mckay_quiver(M, label, separated=args.separated)
-    lines = [f"{len(q.vertices)} vertices, {len(q.arrows)} arrows"]
-    lines += [
-        f"{q.vertices[s]} -> {q.vertices[t]} x{m}" for s, t, m in q.arrows
-    ]
-    _emit(
-        args,
-        {
-            "vertices": list(q.vertices),
-            "arrows": [[q.vertices[s], q.vertices[t], m] for s, t, m in q.arrows],
-        },
-        "\n".join(lines),
+        M = args.builtin and _builtin(args)
+        M = regular_module(M) if isinstance(M, FusionRing) else M
+    if not isinstance(M, ModuleCategory):
+        raise UsageError("mckay needs a module (--module or --builtin)")
+    spec = args.label
+    label = _user_input(
+        lambda: fio.label_from_json(M.ring, json.loads(spec) if spec.startswith("{") else spec),
+        source="--label",
     )
-    return 0
+    q = mckay_quiver(M, label, separated=args.separated)
+    return _emit_arrows(args, q.vertices, q.arrows)
 
 
 def cmd_qnum(args) -> int:
@@ -271,8 +254,10 @@ def cmd_qnum(args) -> int:
             rows.append(f"[{k}]_d' = {pretty_dp}")
         _emit(args, {"upto": args.upto, "rows": rows}, "\n".join(rows))
         return 0
-    ring = _get_ring(args)
-    pi = _parse_object(ring, args.object)
+    if args.object is None:
+        raise UsageError("qnum needs --object or --free")
+    ring = _ring(args)
+    pi = _object(args, ring)
     report = sign_coherence(ring, pi, args.upto)
     rows = [f"minimal m: {fmt_m(report.minimal_m)}"]
     for k in range(1, args.upto + 1):
@@ -291,15 +276,14 @@ def cmd_qnum(args) -> int:
 
 
 def cmd_rank2(args) -> int:
-    ring = _get_ring(args)
-    pi = _parse_object(ring, args.object)
-    m = rank_two_order(ring, pi)
+    ring = _ring(args)
+    m = rank_two_order(ring, _object(args, ring))
     _emit(args, {"order": fmt_m(m)}, fmt_m(m))
     return 0
 
 
 def cmd_dot(args) -> int:
-    Q = _get_quiver(args)
+    Q = _quiver(args)
     if args.what == "quiver":
         text = fio.quiver_dot(Q)
     elif args.what == "gamma":
@@ -315,97 +299,73 @@ def cmd_dot(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.action == "list":
-        for key in cat.catalog_keys():
-            print(f"{key} ({cat.catalog_kind(key)})")
-        return 0
-    raise UsageError(f"unknown catalog action {args.action!r}")
+    for key in cat.catalog_keys():
+        print(f"{key} ({cat.catalog_kind(key)})")
+    return 0
 
 
-def _add_common(p, ring=False, quiver=False, module=False, fmt=True):
-    p.add_argument("--builtin", nargs="+", metavar=("KEY", "PARAM"), default=None)
-    if ring:
-        p.add_argument("--ring")
-    if quiver:
-        p.add_argument("--quiver")
-    if module:
-        p.add_argument("--module")
+def _command(sub, name, fn, help, *files, fmt=True):
+    """The subparser of one command: --builtin, a --<kind> option for each
+    kind of file in `files`, and --format unless `fmt` is false."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(fn=fn)
+    p.add_argument("--builtin", nargs="+", metavar=("KEY", "PARAM"))
+    for kind in files:
+        p.add_argument(f"--{kind}")
     if fmt:
         p.add_argument("--format", choices=("table", "json"), default="table")
+    return p
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process, on the first call."""
     ap = argparse.ArgumentParser(prog="fqk", description=__doc__)
+    # every option a command reads but does not take is None (table output)
+    ap.set_defaults(builtin=None, ring=None, module=None, quiver=None, object=None, format="table")
     sub = ap.add_subparsers(dest="command", required=True)
+    _command(sub, "validate", cmd_validate, "check fusion-ring or module axioms", "ring", "module")
+    p = _command(sub, "fpdim", cmd_fpdim, "Frobenius-Perron dimensions", "ring")
+    p.add_argument("--object")
+    _command(sub, "gamma", cmd_gamma, "Coxeter graph classification", "quiver")
+    _command(
+        sub, "classify", cmd_classify, "finite-type verdict with components", "quiver", "module"
+    )
+    _command(sub, "unfold", cmd_unfold, "unfolded ordinary quiver", "quiver", "module")
+    _command(
+        sub, "enumerate", cmd_enumerate, "indecomposable dimension vectors", "quiver", "module"
+    )
 
-    p = sub.add_parser("validate", help="check fusion-ring or module axioms")
-    _add_common(p, ring=True, module=True)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("fpdim", help="Frobenius-Perron dimensions")
-    _add_common(p, ring=True)
-    p.add_argument("--object", default=None)
-    p.set_defaults(fn=cmd_fpdim)
-
-    p = sub.add_parser("gamma", help="Coxeter graph classification")
-    _add_common(p, quiver=True)
-    p.set_defaults(fn=cmd_gamma)
-
-    p = sub.add_parser("classify", help="finite-type verdict with components")
-    _add_common(p, quiver=True, module=True)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("unfold", help="unfolded ordinary quiver")
-    _add_common(p, quiver=True, module=True)
-    p.set_defaults(fn=cmd_unfold)
-
-    p = sub.add_parser("enumerate", help="indecomposable dimension vectors")
-    _add_common(p, quiver=True, module=True)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("mckay", help="McKay quiver of a module")
-    _add_common(p, module=True)
+    p = _command(sub, "mckay", cmd_mckay, "McKay quiver of a module", "module")
     p.add_argument("--label", required=True)
     p.add_argument("--separated", action="store_true")
-    p.set_defaults(fn=cmd_mckay)
 
-    p = sub.add_parser("qnum", help="two-colored quantum numbers")
-    _add_common(p, ring=True)
-    p.add_argument("--object", default=None)
+    p = _command(sub, "qnum", cmd_qnum, "two-colored quantum numbers", "ring")
+    p.add_argument("--object")
     p.add_argument("--upto", type=int, default=10)
     p.add_argument("--free", action="store_true")
-    p.set_defaults(fn=cmd_qnum)
 
-    p = sub.add_parser("rank2", help="order of the rank-two Coxeter element")
-    _add_common(p, ring=True)
+    p = _command(sub, "rank2", cmd_rank2, "order of the rank-two Coxeter element", "ring")
     p.add_argument("--object", required=True)
-    p.set_defaults(fn=cmd_rank2)
 
-    p = sub.add_parser("dot", help="DOT export")
-    _add_common(p, quiver=True, module=True, fmt=False)
+    p = _command(sub, "dot", cmd_dot, "DOT export", "quiver", "module", fmt=False)
     p.add_argument("--what", choices=("quiver", "gamma", "unfolded"), default="quiver")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_dot)
+    p.add_argument("--out")
 
     p = sub.add_parser("catalog", help="list builtin data")
     p.add_argument("action", choices=("list",))
     p.set_defaults(fn=cmd_catalog)
-
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (UsageError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except FQKError as e:

@@ -24,9 +24,17 @@ def ring_to_dict(ring: FusionRing) -> dict:
     }
 
 
+def _names(seq) -> tuple:
+    """Names of simples or vertices, which are strings."""
+    names = tuple(seq)
+    if not all(isinstance(s, str) for s in names):
+        raise ValueError(f"names must be strings, not {seq!r}")
+    return names
+
+
 def ring_from_dict(d: dict) -> FusionRing:
     return FusionRing.from_data(
-        d["names"], d.get("unit", 0), d["N"], d.get("dual")
+        _names(d["names"]), d.get("unit", 0), d["N"], d.get("dual")
     )
 
 
@@ -44,7 +52,7 @@ def module_from_dict(d: dict, base: Path | None = None) -> ModuleCategory:
         ring = ring_from_dict(_load_json(ring_spec, base))
     else:
         ring = ring_from_dict(ring_spec)
-    return ModuleCategory.from_data(ring, d["mnames"], d["act"])
+    return ModuleCategory.from_data(ring, _names(d["mnames"]), d["act"])
 
 
 def _label_to_json(Q: FusionQuiver, label):
@@ -58,7 +66,7 @@ def _label_to_json(Q: FusionQuiver, label):
     return list(label)
 
 
-def _label_from_json(ring: FusionRing | None, spec):
+def label_from_json(ring: FusionRing | None, spec):
     if isinstance(spec, dict):
         return ActionLabel.from_rows(spec["matrix"], spec.get("fpdim"))
     if isinstance(spec, str):
@@ -101,12 +109,12 @@ def quiver_from_dict(d: dict, base: Path | None = None) -> FusionQuiver:
         if ring is None:
             ring = module.ring
     edges = tuple(
-        Edge(int(e["from"]), int(e["to"]), _label_from_json(ring, e["label"]))
+        Edge(int(e["from"]), int(e["to"]), label_from_json(ring, e["label"]))
         for e in d["edges"]
     )
-    mnames = tuple(d["mnames"]) if "mnames" in d else None
+    mnames = _names(d["mnames"]) if "mnames" in d else None
     return FusionQuiver(
-        vertices=tuple(d["vertices"]), edges=edges, ring=ring, module=module,
+        vertices=_names(d["vertices"]), edges=edges, ring=ring, module=module,
         mnames=mnames,
     )
 

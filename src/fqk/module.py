@@ -38,6 +38,8 @@ class ActionLabel:
         n = len(self.matrix)
         if any(len(row) != n or min(row, default=0) < 0 for row in self.matrix):
             raise OutOfRange("an action label is a square non-negative matrix")
+        if not isinstance(self.fpdim_override, (int, float, type(None))):
+            raise TypeError(f"an action label's fpdim is a number, not {self.fpdim_override!r}")
 
     @classmethod
     def from_rows(cls, rows, fpdim_override=None):
@@ -143,6 +145,9 @@ def validate_module(M: ModuleCategory) -> ValidationReport:
             if min(row, default=0) < 0:
                 rep.violations.append(f"act[{i}] has a negative entry")
 
+    if len(ring.N) != r or any(len(m) != r or any(len(row) != r for row in m) for m in ring.N):
+        rep.violations.append("ring N is not a rank x rank x rank tensor")
+        return rep
     A, N = wide(M.tensor), wide(ring.tensor)
     if not np.array_equal(A[ring.unit], np.eye(n, dtype=np.int64)):
         rep.violations.append("act[unit] is not the identity")
@@ -254,6 +259,8 @@ def mckay_quiver(M: ModuleCategory, label, separated: bool = False) -> OrdinaryQ
     with multiplicity equal to the action-matrix entry at (L', L), diagonal
     included.  Separated mode returns the bipartite doubling."""
     mat = label_matrix(M, label)
+    if len(mat) != M.msize:
+        raise OutOfRange(f"a label's matrix does not act on the {M.msize} module simples")
     shift = M.msize if separated else 0
     arrows = tuple(
         (l, shift + lp, int(mat[lp, l])) for l, lp in np.argwhere(mat.T).tolist()

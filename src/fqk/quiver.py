@@ -50,6 +50,8 @@ class FusionQuiver:
         M = self.module
         if M is None and self.ring is not None:
             M = regular_module(self.ring)
+        if M is not None and len(M.act) != M.ring.rank:
+            raise OutOfRange("number of action matrices != ring rank")
         for e in self.edges:
             if not (0 <= e.source < self.nv and 0 <= e.target < self.nv):
                 raise OutOfRange(

@@ -58,7 +58,10 @@ def _derive_dual(names, unit, N):
         raise ValueError(f"cannot derive the dual: unit {unit!r} is not a simple index")
     dual = []
     for i in range(rank):
-        hits = [j for j in range(rank) if N[i][j][unit] != 0]
+        try:
+            hits = [j for j in range(rank) if N[i][j][unit] != 0]
+        except IndexError:
+            raise ValueError(f"cannot derive the dual: N is not a {rank}x{rank}x{rank} tensor")
         if len(hits) != 1 or N[i][hits[0]][unit] != 1:
             raise ValueError(
                 f"cannot derive dual of simple {i} ({names[i]}): "
@@ -188,7 +191,7 @@ def validate(ring: FusionRing) -> ValidationReport:
         ]
 
     # dual involution and rigidity
-    if sorted(dual) != list(range(r)):
+    if any(d not in range(r) for d in dual) or len(set(dual)) != r:
         rep.violations.append("dual is not a permutation")
         return rep
     d = np.array(dual, dtype=np.intp)

@@ -1,6 +1,11 @@
+import contextlib
+import io as stdio
 import json
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqk import (
     OutOfRange,
@@ -29,6 +34,16 @@ from fqk.unfold import unfold
 from fqk import cli
 
 from conftest import BUILTIN_QUIVERS
+
+
+@pytest.fixture(scope="module")
+def boundary_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the lines of the fenced block under the README's "## CLI" heading
+README_CLI = README.read_text().split("## CLI\n")[1].split("```")[1].splitlines()
 
 
 class TestCatalog:
@@ -363,9 +378,13 @@ class TestCLI:
             (["validate", "--module", "m_unit.json"], 1),
             (["validate", "--ring", "r_unit_no_dual.json"], 2),
             (["fpdim", "--ring", "r_unit_no_dual.json"], 2),
+            (["validate", "--ring", "r_ragged_no_dual.json"], 2),
+            (["fpdim", "--ring", "r_ragged_no_dual.json"], 2),
+            (["validate", "--ring", "r_ragged.json"], 1),
         ],
         ids=["module_dual", "validate_unit", "fpdim_unit", "module_unit",
-             "validate_unit_no_dual", "fpdim_unit_no_dual"],
+             "validate_unit_no_dual", "fpdim_unit_no_dual", "validate_ragged_no_dual",
+             "fpdim_ragged_no_dual", "validate_ragged"],
     )
     def test_bad_unit_or_dual_one_line_error(self, tmp_path, capsys, monkeypatch, argv, code):
         from fqk import regular_module
@@ -375,14 +394,114 @@ class TestCLI:
         r_unit = {**ring_to_dict(catalog.fibonacci()), "unit": 7}
         m_unit = {**module_to_dict(regular_module(catalog.fibonacci())), "ring": "r_unit.json"}
         r_unit_no_dual = {k: v for k, v in r_unit.items() if k != "dual"}
+        r_ragged_no_dual = {"names": ["1", "t"], "N": [[[1]], [[0]]]}  # N[i] is 1x1, not 2x2
+        r_ragged = {**r_ragged_no_dual, "dual": [0, 1]}
         for name, d in [("m_dual", m_dual), ("r_unit", r_unit), ("m_unit", m_unit),
-                        ("r_unit_no_dual", r_unit_no_dual)]:
+                        ("r_unit_no_dual", r_unit_no_dual), ("r_ragged_no_dual", r_ragged_no_dual),
+                        ("r_ragged", r_ragged)]:
             (tmp_path / f"{name}.json").write_text(dumps(d))
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert len((captured.out + captured.err).strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, edit, code",
+        [
+            (["validate", "--ring"], lambda d: d.update(dual=[None, 1]), 1),
+            (["enumerate", "--builtin", "verlinde_l4_quiver", "--module"],
+             lambda d: d.update(mnames=[0, 1, 2, 3]), 2),
+            (["validate", "--module"], lambda d: d["ring"].update(N=[[[1]]] * 5), 1),
+            (["unfold", "--quiver"], lambda d: d["module"].update(act=[]), 1),
+            (["classify", "--quiver"],
+             lambda d: d["edges"][0].update(label={"matrix": [[1]], "fpdim": "x"}), 2),
+        ],
+        ids=["dual_entry", "module_names", "module_ring_shape", "quiver_module_actions",
+             "label_fpdim"],
+    )
+    def test_malformed_file_one_line_error(self, tmp_path, capsys, argv, edit, code):
+        """Names that are not strings and a label's FP dimension that is not
+        a number are usage errors; the validators and the quiver report the
+        rest."""
+        data = {"--ring": ring_to_dict(catalog.fibonacci()),
+                "--module": module_to_dict(catalog.verlinde_typeD(4)),
+                "--quiver": quiver_to_dict(catalog.verlinde_l4_typeD_quiver())}[argv[-1]]
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(dumps(data))
+        assert cli.main([*argv, str(path)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert len((captured.out + captured.err).splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate", "--builtin", "nope"], 2),
+            (["validate", "--builtin", "verlinde_sl2"], 2),
+            (["fpdim", "--builtin", "verlinde_sl2", "1", "2"], 2),
+            (["classify", "--builtin", "verlinde_sl2", "x"], 2),
+            (["qnum", "--builtin", "fibonacci"], 2),
+            (["rank2", "--builtin", "fibonacci", "--object", "abc"], 2),
+            (["mckay", "--builtin", "fibonacci", "--label", "nope"], 2),
+            (["mckay", "--builtin", "fibonacci", "--label", "{bad"], 2),
+            (["mckay", "--builtin", "fibonacci", "--label", '{"m":1}'], 2),
+            (["mckay", "--builtin", "fibonacci", "--label", '{"matrix": [[1]]}'], 1),
+            (["mckay", "--builtin", "fibonacci", "--label", '{"matrix": [[1,0,0],[0,1,0],[0,0,1]]}'], 1),
+        ],
+        ids=["unknown_key", "missing_param", "extra_param", "bad_param", "no_object",
+             "bad_object", "unknown_label", "bad_json_label", "label_without_matrix",
+             "label_1x1", "label_3x3"],
+    )
+    def test_malformed_argument_one_line_error(self, capsys, argv, code):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error: " if code == 2 else "error: ")
+
+    def test_unknown_builtin_message_is_the_catalogs(self, capsys):
+        want = f'usage error: "unknown builtin \'nope\'; known: {", ".join(catalog_keys())}"\n'
+        for cmd in ("validate", "classify"):
+            assert cli.main([cmd, "--builtin", "nope"]) == 2
+            assert capsys.readouterr().err == want
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        import argparse
+
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        try:
+            for argv in (["catalog", "list"], ["qnum", "--free", "--upto", "2"], ["fpdim"]):
+                cli.main(argv)
+        finally:
+            cli.build_parser.cache_clear()
+        capsys.readouterr()
+        assert built.count("fqk") == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [ln for ln in README_CLI if ln.startswith("fqk ")],
+    )
+    def test_readme_cli_line_exits_0(self, tmp_path, monkeypatch, capsys, line):
+        """Every command of the README's CLI block, as written and, where the
+        line shows `[--format json]`, with it."""
+        argv = shlex.split(line.split("#")[0])[1:]
+        variants = [argv]
+        if "[--format" in argv:
+            k = argv.index("[--format")
+            variants = [argv[:k], argv[:k] + ["--format", "json"]]
+        monkeypatch.chdir(tmp_path)
+        for a in variants:
+            assert cli.main(a) == 0, a
+        capsys.readouterr()
 
     def test_validation_failure_exit_1(self, tmp_path, capsys):
         # a ring violating rigidity exits 1 under validate
@@ -392,3 +511,135 @@ class TestCLI:
         path = tmp_path / "bad_ring.json"
         path.write_text(dumps(ring_to_dict(corrupted_fibonacci())))
         assert cli.main(["validate", "--ring", str(path)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# The input boundary under generated arguments and files: whatever a user
+# passes, `main` exits 0, 1 or 2 and prints no traceback.
+
+BOUNDARY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+COMMANDS = (
+    "validate", "fpdim", "gamma", "classify", "unfold", "enumerate", "mckay", "qnum", "rank2", "dot"
+)
+ELEMENTS = st.one_of(
+    st.sampled_from(["1", "tau", "V0", "V1", "V2", "S", "V3", "L+", "X", ""]),
+    st.lists(st.integers(-2, 3), max_size=6).flatmap(
+        lambda xs: st.sampled_from([" ", ",", ", "]).map(lambda sep: sep.join(map(str, xs)))
+    ),
+    st.text(max_size=6),
+    st.sampled_from(['{', '{"matrix": [[1]]}', '{"matrix": 1}', '{"matrix": [[1, 2]]}', '{"m": 1}',
+                     '{"matrix": [[0, 1], [1, 1]], "fpdim": "x"}', '[1, 0]', "null", "{}"]),
+    st.fixed_dictionaries(
+        {"matrix": st.lists(st.lists(st.sampled_from([-1, 0, 1, 2, 1e400]), max_size=3),
+                            max_size=3)},
+        optional={"fpdim": st.sampled_from([None, 1.5, "x", -1])},
+    ).map(json.dumps),
+)
+
+
+def _run(argv, out_dir) -> None:
+    """main(argv), with `dot` writing into out_dir and the output captured:
+    the exit code is 0, 1 or 2 and no traceback is printed."""
+    if argv[0] == "dot":
+        argv = [*argv, "--out", str(out_dir / "fuzz.dot")]
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+
+
+@st.composite
+def argvs(draw):
+    """A command over a catalog key (or an unknown one) with 0-2 parameters,
+    and the options that command takes, each present or not."""
+    cmd = draw(st.sampled_from(COMMANDS))
+    argv, maybe = [cmd], lambda: draw(st.booleans())
+    if maybe():
+        argv += ["--builtin", draw(st.sampled_from(catalog_keys() + ("nope",)))]
+        argv += draw(st.lists(st.sampled_from(["-1", "0", "2", "4", "x"]), max_size=2))
+    if cmd in ("fpdim", "qnum", "rank2") and maybe():
+        argv.append(f"--object={draw(ELEMENTS)}")
+    if cmd == "mckay":
+        argv.append(f"--label={draw(ELEMENTS)}")
+        argv += ["--separated"] * maybe()
+    if cmd == "qnum":
+        argv += ["--free"] * maybe() + ["--upto", str(draw(st.integers(-1, 5)))]
+    if cmd == "dot":
+        argv += ["--what", draw(st.sampled_from(["quiver", "gamma", "unfolded"]))]
+    elif maybe():
+        argv += ["--format", "json"]
+    return argv
+
+
+JUNK = st.sampled_from([
+    "null", "-1", "0", "1", "2", "7", "1.5", "1e400", '"x"', '"tau"',
+    "[]", "[0]", "[[1]]", "[0, 5]", "{}", '{"matrix": [[1]]}',
+]).map(json.loads)  # a fresh value each draw: later mutations may edit it
+
+
+@st.composite
+def mutated(draw, data):
+    """`data` with one to three values replaced by junk or deleted."""
+    data = json.loads(json.dumps(data))
+    for _ in range(draw(st.integers(1, 3))):
+        node = data
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            k = draw(st.sampled_from(keys))
+            if isinstance(node[k], (dict, list)) and node[k] and draw(st.booleans()):
+                node = node[k]
+                continue
+            if draw(st.integers(0, 3)):
+                node[k] = draw(JUNK)
+            else:
+                del node[k]
+            break
+    return data
+
+
+FILE_SOURCES = {
+    "ring": [ring_to_dict(catalog.fibonacci())],
+    "module": [module_to_dict(catalog.verlinde_typeD(2))],
+    "quiver": [quiver_to_dict(catalog.builtin(k)) for k in
+               ("fib_edge_quiver", "verlinde_l2_typeD_quiver", "sl3at5_x_quiver")],
+}
+# the partial-mode quiver once more, with its label's FP dimension pinned
+FILE_SOURCES["quiver"].append(json.loads(json.dumps(FILE_SOURCES["quiver"][-1])))
+FILE_SOURCES["quiver"][-1]["edges"][0]["label"]["fpdim"] = 1.618033988749895
+FILE_COMMANDS = {
+    "ring": [["validate"], ["fpdim"], ["qnum", "--object", "tau", "--upto", "3"],
+             ["rank2", "--object", "tau"]],
+    "module": [["validate"], ["mckay", "--label", "V1"],
+               ["classify", "--builtin", "verlinde_l4_quiver"]],
+    "quiver": [["classify"], ["enumerate"], ["unfold"], ["gamma"], ["dot", "--what", "unfolded"]],
+}
+
+
+@st.composite
+def bad_files(draw):
+    """A malformed ring, module or quiver file and a command that reads it:
+    mutated JSON, or valid JSON cut short."""
+    kind = draw(st.sampled_from(sorted(FILE_SOURCES)))
+    data = draw(mutated(draw(st.sampled_from(FILE_SOURCES[kind]))))
+    text = dumps(data)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return kind, text, draw(st.sampled_from(FILE_COMMANDS[kind]))
+
+
+class TestBoundary:
+    @BOUNDARY
+    @given(argv=argvs())
+    def test_any_arguments_exit_0_1_or_2(self, boundary_dir, argv):
+        _run(argv, boundary_dir)
+
+    @BOUNDARY
+    @given(case=bad_files())
+    def test_any_malformed_file_exits_0_1_or_2(self, boundary_dir, case):
+        kind, text, command = case
+        path = boundary_dir / f"{kind}.json"
+        path.write_text(text)
+        _run([*command, f"--{kind}", str(path)], boundary_dir)

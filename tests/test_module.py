@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fqk import (
+    ActionLabel,
     ModuleCategory,
+    OutOfRange,
     SignIncoherentInput,
     act_on,
     catalog,
@@ -201,6 +203,12 @@ class TestMcKay:
         q = mckay_quiver(M, label, separated=False)
         assert len(q.vertices) == 6
         assert sum(m for _, _, m in q.arrows) == 9
+
+    @pytest.mark.parametrize("rows", [[[1]], np.eye(3, dtype=int).tolist()], ids=["1x1", "3x3"])
+    def test_matrix_label_of_another_size_is_rejected(self, rows):
+        M = regular_module(catalog.fibonacci())
+        with pytest.raises(OutOfRange, match="does not act on the 2 module simples"):
+            mckay_quiver(M, ActionLabel.from_rows(rows))
 
     def test_s3_separated_matches_unfold(self):
         s3 = catalog.rep_s3()
