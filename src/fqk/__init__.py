@@ -21,7 +21,6 @@ from .ring import (
     RingElement,
     ValidationReport,
     angle_label,
-    default_tol,
     dual,
     fpdim,
     fpdim_of,

@@ -15,9 +15,9 @@ from . import catalog as cat
 from . import io as fio
 from .errors import FQKError
 from .module import ModuleCategory, mckay_quiver, regular_module, validate_module
-from .quiver import FusionQuiver, coxeter_graph, classify_coxeter, labeled_graph, normalize
+from .quiver import FusionQuiver, coxeter_graph, classify_coxeter, normalize
 from .ring import FusionRing, ValidationReport, fmt_m, fpdim, fpdim_of, validate
-from .reflect import qnum_free, qnum_in_ring, rank_two_order, sign_coherence
+from .reflect import qnum_free, rank_two_order, sign_coherence
 from .unfold import enumerate_indecomposables, is_finite_type, unfold
 
 
@@ -27,15 +27,16 @@ class UsageError(Exception):
 
 def _user_input(fn, *args, source=None):
     """fn(*args) on a value the user supplied, the one place user input is
-    converted: a KeyError, ValueError, TypeError or OverflowError (int() of an
-    infinite float) is a usage error, and a domain error keeps its type. Both
-    messages name `source` (a file or an option) when there is one."""
+    converted: a KeyError, ValueError, TypeError, OverflowError (int() of an
+    infinite float) or RecursionError (JSON nested too deep) is a usage error,
+    and a domain error keeps its type. Both messages name `source` (a file or
+    an option) when there is one."""
     at = f"{source}: " if source else ""
     try:
         return fn(*args)
     except KeyError as e:
         raise UsageError(f"{at}missing key {e}" if source else str(e))
-    except (ValueError, TypeError, OverflowError) as e:  # JSONDecodeError is a ValueError
+    except (ValueError, TypeError, OverflowError, RecursionError) as e:  # and JSONDecodeError
         raise UsageError(f"{at}{e}")
     except FQKError as e:
         raise type(e)(f"{at}{e}")
@@ -87,7 +88,7 @@ def _quiver(args) -> FusionQuiver:
         raise UsageError("a quiver is required (--quiver or --builtin)")
     if args.module:
         Q = replace(Q, module=_load(args, fio.load_module, args.module))
-    return normalize(Q)
+    return _user_input(normalize, Q, source=args.quiver)
 
 
 def _object(args, ring: FusionRing):
@@ -153,7 +154,7 @@ def cmd_fpdim(args) -> int:
 
 def cmd_gamma(args) -> int:
     Q = _quiver(args)
-    cls = classify_coxeter(labeled_graph(Q))
+    cls = classify_coxeter(coxeter_graph(Q))
     names = ", ".join(
         c.type_name if c.finite else "I2(inf)" if len(c.vertices) == 2 else "infinite"
         for c in cls.components
@@ -260,9 +261,8 @@ def cmd_qnum(args) -> int:
     pi = _object(args, ring)
     report = sign_coherence(ring, pi, args.upto)
     rows = [f"minimal m: {fmt_m(report.minimal_m)}"]
-    for k in range(1, args.upto + 1):
-        vd = qnum_in_ring(ring, pi, k, "d")
-        rows.append(f"[{k}]_d = {list(vd)} ({report.signs_d[k-1]})")
+    for k, (vd, sign) in enumerate(zip(report.values_d, report.signs_d), 1):
+        rows.append(f"[{k}]_d = {list(vd)} ({sign})")
     _emit(
         args,
         {

@@ -161,42 +161,31 @@ def label_pretty(Q: FusionQuiver, label) -> str:
     return "+".join(parts) if parts else "0"
 
 
+def _dot(head: str, arrow: str, nodes, edges) -> str:
+    """DOT text of a graph: `head` opens it ("digraph name"), `arrow` is "->"
+    or "--", and each edge is (source, target, label), label None for none."""
+    lines = [f"{head} {{"] + [f"  {_q(v)};" for v in nodes]
+    for s, t, lbl in edges:
+        attr = "" if lbl is None else f" [label={_q(lbl)}]"
+        lines.append(f"  {_q(s)} {arrow} {_q(t)}{attr};")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def quiver_dot(Q: FusionQuiver) -> str:
-    lines = ["digraph fusion_quiver {"]
-    for v in Q.vertices:
-        lines.append(f"  {_q(v)};")
-    for e in Q.edges:
-        lbl = label_pretty(Q, e.label) if Q.ring is not None else "matrix"
-        lines.append(
-            f"  {_q(Q.vertices[e.source])} -> {_q(Q.vertices[e.target])} "
-            f"[label={_q(lbl)}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    V = Q.vertices
+    edges = ((V[e.source], V[e.target], label_pretty(Q, e.label)) for e in Q.edges)
+    return _dot("digraph fusion_quiver", "->", V, edges)
 
 
 def gamma_dot(G: CoxeterGraph) -> str:
-    lines = ["graph coxeter {"]
-    for v in G.vertices:
-        lines.append(f"  {_q(v)};")
-    for u, v, m in G.edges:
-        lines.append(
-            f"  {_q(G.vertices[u])} -- {_q(G.vertices[v])} [label={_q(fmt_m(m))}];"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    V = G.vertices
+    return _dot("graph coxeter", "--", V, ((V[u], V[v], fmt_m(m)) for u, v, m in G.edges))
 
 
 def unfolded_dot(U) -> str:
     names = U.vertex_names()
-    lines = ["digraph unfolded {"]
-    for nm in names:
-        lines.append(f"  {_q(nm)};")
-    for s, t, m in U.arrows:
-        attr = f" [label={_q(str(m))}]" if m != 1 else ""
-        lines.append(f"  {_q(names[s])} -> {_q(names[t])}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = ((names[s], names[t], None if m == 1 else str(m)) for s, t, m in U.arrows)
+    return _dot("digraph unfolded", "->", names, edges)
 
 
 _DOT_HEADER = re.compile(r"^(di)?graph\s+\w+\s*\{$")

@@ -82,9 +82,6 @@ class ModuleCategory:
             l = self.mnames.index(l)
         return tuple(1 if k == l else 0 for k in range(self.msize))
 
-    def zero(self) -> ModuleElement:
-        return (0,) * self.msize
-
     @cached_property
     def tensor(self) -> np.ndarray:
         """The action matrices as one (rank, msize, msize) integer array (see

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .errors import InconsistentVerdict, MissingAction, NotReflectable, OutOfRange
 from .module import (
@@ -18,9 +19,10 @@ from .ring import (
     FPVector,
     FusionRing,
     INFINITY,
+    TOL,
     angle_label,
-    default_tol,
     dual as ring_dual,
+    fmt_m,
     fpdim,
     fpdim_of,
 )
@@ -62,8 +64,8 @@ class FusionQuiver:
             if self.ring is None:
                 raise MissingAction(f"ring-element label {e.label} on a quiver with no ring")
             for r in (self.ring, M.ring):
-                if len(e.label) != r.rank:
-                    raise OutOfRange(f"label {e.label} has length {len(e.label)}, not rank {r.rank}")
+                if len(e.label) != r.rank or min(e.label, default=0) < 0:
+                    raise OutOfRange(f"label {e.label} is not {r.rank} non-negative coefficients")
         actions = tuple(label_matrix(M, e.label).tolist() for e in self.edges)
         mnames = M.mnames if M is not None else self.mnames
         if mnames is None:
@@ -107,7 +109,7 @@ def _zero_label(label) -> bool:
 
 def _add_labels(a, b):
     if isinstance(a, ActionLabel) != isinstance(b, ActionLabel):
-        raise ValueError("cannot merge a ring-element label with a matrix label")
+        raise OutOfRange("cannot merge a ring-element label with a matrix label")
     if isinstance(a, ActionLabel):
         return ActionLabel.from_rows(
             [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.matrix, b.matrix)]
@@ -201,14 +203,51 @@ def labeled_graph(Q: FusionQuiver) -> LabeledGraph:
     )
 
 
-def coxeter_graph(Q_or_G) -> CoxeterGraph:
-    G = Q_or_G if isinstance(Q_or_G, LabeledGraph) else labeled_graph(Q_or_G)
-    edges = []
-    for u, v, f in G.edges:
-        m = angle_label(f)
-        if m != 2:
-            edges.append((u, v, m))
-    return CoxeterGraph(vertices=G.vertices, edges=tuple(edges))
+def _label_order(rows):
+    """The m with 2cos(pi/m) = FPdim of a label, read from its integer action
+    A (rows): by Smith's theorem the one-edge unfolding, the bipartite graph
+    with A[l'][l] edges l -> l', has spectral radius 2cos(pi/h) exactly when
+    every component is A/D/E of Coxeter number h. INFINITY when none is; by
+    Perron-Frobenius an action has one or the other, so a mix is rejected."""
+    n = len(rows)
+    edges = [(l, n + lp, a) for lp, row in enumerate(rows) for l, a in enumerate(row) if a]
+    hs = set()
+    for comp, sub in _graph_components(2 * n, edges):
+        named = None
+        if all(a == 1 for *_, a in sub):
+            named = _coxeter_pattern(comp, [(u, v, 3) for u, v, _ in sub])
+        hs.add(INFINITY if named is None else named[1])
+    if len(hs) != 1:
+        raise OutOfRange(f"a label's unfolding mixes Coxeter numbers {sorted(hs)}")
+    return hs.pop()
+
+
+def coxeter_graph(G) -> CoxeterGraph:
+    """The graph Gamma of a quiver or a labeled graph: each edge of the
+    underlying undirected graph weighted by the m with 2cos(pi/m) = FPdim of
+    its label, m = 2 dropped. On a quiver, m is read from the integer action
+    summed over the vertex pair (A for u -> v, its transpose for v -> u), and
+    a pinned fpdim is checked against its own label's m; on a labeled graph,
+    m is read from the real label."""
+    if isinstance(G, LabeledGraph):
+        weighted = [(u, v, angle_label(f)) for u, v, f in G.edges]
+    else:
+        acc, order = {}, cache(_label_order)  # one call per distinct action
+        for e, rows in zip(G.edges, G.edge_actions):
+            rows = tuple(map(tuple, rows))
+            pin = getattr(e.label, "fpdim_override", None)
+            if pin is not None:
+                m = order(rows)
+                if pin < 2 - TOL if m == INFINITY else abs(pin - 2 * math.cos(math.pi / m)) >= TOL:
+                    raise OutOfRange(f"pinned fpdim {pin} does not fit m = {fmt_m(m)}")
+            if e.source > e.target:
+                rows = tuple(zip(*rows))
+            key = (min(e.source, e.target), max(e.source, e.target))
+            if key in acc:
+                rows = tuple(tuple(x + y for x, y in zip(a, b)) for a, b in zip(acc[key], rows))
+            acc[key] = rows
+        weighted = [(u, v, order(rows)) for (u, v), rows in acc.items()]
+    return CoxeterGraph(G.vertices, tuple(e for e in weighted if e[2] != 2))
 
 
 @dataclass(frozen=True)
@@ -233,14 +272,13 @@ class CoxeterClassification:
 
 def _posdef(gram) -> bool:
     """Positive definiteness via leading principal minors (exact expansion on
-    small float matrices); |minor| < tol counts as not positive definite."""
+    small float matrices); |minor| < TOL counts as not positive definite."""
     import numpy as np
 
-    tol = default_tol()
     g = np.asarray(gram, dtype=float)
     for k in range(1, g.shape[0] + 1):
         minor = float(np.linalg.det(g[:k, :k]))
-        if minor < tol:
+        if minor < TOL:
             return False
     return True
 
@@ -325,21 +363,13 @@ def classify_coxeter(G) -> CoxeterClassification:
     graph) as a named finite type or infinite, cross-checking the pattern
     match against positive definiteness of the associated symmetric form."""
     if isinstance(G, LabeledGraph):
-        gram_label = {(min(u, v), max(u, v)): f for u, v, f in G.edges}
         G = coxeter_graph(G)
-    else:
-        gram_label = {
-            (min(u, v), max(u, v)): (
-                2.0 if m == INFINITY else 2 * math.cos(math.pi / m)
-            )
-            for u, v, m in G.edges
-        }
     out = []
     for comp, sub in _graph_components(len(G.vertices), G.edges):
         idx = {v: i for i, v in enumerate(comp)}
         gram = [[2.0 if i == j else 0.0 for j in comp] for i in comp]
-        for u, v, _ in sub:
-            f = gram_label[(min(u, v), max(u, v))]
+        for u, v, m in sub:
+            f = 2.0 if m == INFINITY else 2 * math.cos(math.pi / m)
             gram[idx[u]][idx[v]] -= f
             gram[idx[v]][idx[u]] -= f
         pd = _posdef(gram)

@@ -25,9 +25,9 @@ from .quiver import Edge, FusionQuiver, _with_module, label_fpdim
 from .ring import (
     FusionRing,
     INFINITY,
+    TOL,
     add,
     angle_label,
-    default_tol,
     dual as ring_dual,
     fpdim,
     fpdim_of,
@@ -261,6 +261,7 @@ class SignCoherenceReport:
     minimal_m: object  # int or inf
     signs_d: tuple  # sign class of [k]_d for k = 1..K
     signs_dp: tuple
+    values_d: tuple  # [k]_d for k = 1..K
 
 
 def sign_coherence(ring: FusionRing, pi, K: int) -> SignCoherenceReport:
@@ -269,7 +270,6 @@ def sign_coherence(ring: FusionRing, pi, K: int) -> SignCoherenceReport:
     (zeros exactly at multiples of m, signs flipping block by block)."""
     if K < 1:
         raise OutOfRange("K must be at least 1")
-    tol = default_tol()
     fpv = fpdim(ring)
     pairs = _qnum_pair_sequence(ring, pi, K)
     vals_d = [a for a, _ in pairs]
@@ -284,7 +284,7 @@ def sign_coherence(ring: FusionRing, pi, K: int) -> SignCoherenceReport:
     for k in range(1, K + 1):
         zd = signs_d[k - 1] == "zero"
         zdp = signs_dp[k - 1] == "zero"
-        small = abs(fpdim_of(ring, vals_d[k - 1], fpv)) < tol
+        small = abs(fpdim_of(ring, vals_d[k - 1], fpv)) < TOL
         if zd != zdp or zd != small:
             raise SignCoherenceViolation(
                 f"vanishing criteria disagree at k = {k}"
@@ -303,7 +303,7 @@ def sign_coherence(ring: FusionRing, pi, K: int) -> SignCoherenceReport:
                 f"sign pattern violated at k = {k}: got "
                 f"({signs_d[k-1]}, {signs_dp[k-1]}), expected {want}"
             )
-    return SignCoherenceReport(minimal_m=minimal_m, signs_d=signs_d, signs_dp=signs_dp)
+    return SignCoherenceReport(minimal_m, signs_d, signs_dp, tuple(vals_d))
 
 
 # ---------------------------------------------------------------------------

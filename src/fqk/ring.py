@@ -9,7 +9,6 @@ Elements are plain integer coefficient tuples over the simple basis.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,6 +18,8 @@ from .errors import InvalidDimension, NonConvergence
 
 RingElement = tuple  # tuple[int, ...] over the simple basis
 
+# the tolerance of every float comparison; no verdict rests on one
+TOL = 1e-9
 POWER_ITER_TOL = 1e-10
 POWER_ITER_CAP = 10**6
 
@@ -27,11 +28,6 @@ POWER_ITER_CAP = 10**6
 INT64_SAFE = 2**62
 # entries per vectorized block of an axiom check, so memory stays O(r^3)
 BLOCK_ENTRIES = 2**16
-
-
-def default_tol() -> float:
-    """Numeric comparison tolerance; overridable via the FQK_TOL env var."""
-    return float(os.environ.get("FQK_TOL", "1e-9"))
 
 
 @dataclass
@@ -317,16 +313,15 @@ def fmt_m(m) -> str:
 def angle_label(f: float):
     """Map a real dimension f to the integer m with f = 2cos(pi/m), with
     f >= 2 mapping to infinity and f = 0 mapping to 2."""
-    tol = default_tol()
     if f < 0:
         raise InvalidDimension(f"negative dimension {f}")
-    if f >= 2 - tol:
+    if f >= 2 - TOL:
         return INFINITY
-    if abs(f) < tol:
+    if abs(f) < TOL:
         return 2
     m = round(math.pi / math.acos(f / 2))
-    if m < 2 or abs(2 * math.cos(math.pi / m) - f) >= tol:
+    if m < 2 or abs(2 * math.cos(math.pi / m) - f) >= TOL:
         raise InvalidDimension(
-            f"dimension {f} is below 2 but matches no 2cos(pi/m) within {tol}"
+            f"dimension {f} is below 2 but matches no 2cos(pi/m) within {TOL}"
         )
     return m

@@ -15,7 +15,7 @@ from .quiver import (
     _coxeter_pattern,
     _with_module,
     classify_coxeter,
-    labeled_graph,
+    coxeter_graph,
 )
 from .ring import INFINITY, fmt_m
 
@@ -138,7 +138,7 @@ def components(U) -> ComponentReport:
 @dataclass(frozen=True)
 class FiniteTypeVerdict:
     finite: bool
-    gamma: CoxeterClassification  # the M-independent decision path
+    gamma: CoxeterClassification  # the same for every module, by Perron-Frobenius
     unfolded: ComponentReport
 
     def __str__(self) -> str:
@@ -153,15 +153,15 @@ class FiniteTypeVerdict:
 
 
 def is_finite_type(Q: FusionQuiver, M: ModuleCategory | None = None) -> FiniteTypeVerdict:
-    """Decide finite representation type two independent ways — via the
-    Coxeter graph (module-free) and via ADE recognition of the unfolded
-    components — and cross-check them per Coxeter-graph component."""
+    """Decide finite representation type two ways — by the Coxeter graph of
+    Q's labels (the same for every module) and by ADE recognition of the
+    unfolding over M — cross-checked per Coxeter-graph component."""
     return _cross_checked(Q, unfold(Q, M))
 
 
 def _cross_checked(Q: FusionQuiver, U: UnfoldedQuiver) -> FiniteTypeVerdict:
     """is_finite_type on the unfolding U of Q."""
-    gamma = classify_coxeter(labeled_graph(Q))
+    gamma = classify_coxeter(coxeter_graph(Q))
     rep = components(U)
 
     # map each unfolded component to the Coxeter-graph component of its

@@ -108,6 +108,25 @@ class TestCatalog:
             assert back == Q, name
             assert dumps(quiver_to_dict(back)) == text, name
 
+    @pytest.mark.parametrize(
+        "label, text",
+        [
+            ({"matrix": [[0, 1], [1, 1]], "fpdim": 1.618033988749895}, "matrix"),
+            ([1, 2], "1+2*tau"),
+            ([0, 2], "2*tau"),
+        ],
+        ids=["pinned_fpdim", "coefficients", "multiple_of_a_simple"],
+    )
+    def test_label_roundtrip_and_dot_text(self, label, text):
+        """A pinned fpdim and a label that is not a simple round-trip through
+        JSON bit-identically, and the DOT edge shows the label."""
+        d = {"vertices": ["a", "b"], "edges": [{"from": 0, "to": 1, "label": label}],
+             "ring": ring_to_dict(catalog.fibonacci())}
+        Q = quiver_from_dict(d)
+        assert quiver_to_dict(Q) == d
+        assert quiver_from_dict(json.loads(dumps(quiver_to_dict(Q)))) == Q
+        assert f'"a" -> "b" [label="{text}"];' in quiver_dot(Q)
+
     def test_dot_output_parses(self):
         for name, Q in BUILTIN_QUIVERS.items():
             assert check_dot(quiver_dot(Q)), name
@@ -199,22 +218,46 @@ class TestCLI:
         assert calls == want
 
     @pytest.mark.parametrize(
-        "edge, ring",
+        "edges, ring",
         [
-            ({"from": 0, "to": 2, "label": "tau"}, True),
-            ({"from": 0, "to": 1, "label": [1]}, True),
-            ({"from": 0, "to": 1, "label": [1]}, False),
+            ([{"from": 0, "to": 2, "label": "tau"}], True),
+            ([{"from": 0, "to": 1, "label": [1]}], True),
+            ([{"from": 0, "to": 1, "label": [1]}], False),
+            ([{"from": 0, "to": 1, "label": "tau"},
+              {"from": 0, "to": 1, "label": {"matrix": [[0, 1], [1, 1]]}}], True),
         ],
-        ids=["endpoint", "label_length", "ring_label_without_ring"],
+        ids=["endpoint", "label_length", "ring_label_without_ring", "mixed_parallel_labels"],
     )
-    def test_bad_quiver_exit_1(self, tmp_path, capsys, edge, ring):
+    def test_bad_quiver_exit_1(self, tmp_path, capsys, edges, ring):
         path = tmp_path / "bad_quiver.json"
-        data = {"vertices": ["a", "b"], "edges": [edge]}
+        data = {"vertices": ["a", "b"], "edges": edges}
         if ring:
             data["ring"] = ring_to_dict(catalog.fibonacci())
         path.write_text(dumps(data))
         assert cli.main(["classify", "--quiver", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ({"matrix": [[0, 0, 0], [0, 0, 1], [0, 1, 1]]}, "Coxeter numbers [2, 5]"),
+            ({"matrix": [[0, 1], [0, 0]]}, "Coxeter numbers [2, 3]"),
+            ({"matrix": catalog.sl3at5_action().matrix, "fpdim": 1.5}, "pinned fpdim 1.5"),
+            ({"matrix": [[2]], "fpdim": 1.9}, "pinned fpdim 1.9"),
+        ],
+        ids=["reducible", "nilpotent", "pinned_off_2cos", "pinned_below_2_infinite"],
+    )
+    def test_label_gamma_rejects_exit_1(self, tmp_path, capsys, label, message):
+        """A label whose one-edge unfolding mixes Coxeter numbers, or whose
+        pinned fpdim is not the 2cos(pi/m) of that unfolding, gives no m."""
+        path = tmp_path / "q.json"
+        edge = {"from": 0, "to": 1, "label": label}
+        path.write_text(dumps({"vertices": ["a", "b"], "edges": [edge]}))
+        for cmd in ("classify", "gamma", "enumerate"):
+            assert cli.main([cmd, "--quiver", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ") and message in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -289,6 +332,28 @@ class TestCLI:
         assert cli.main(["fpdim", "--builtin", "fibonacci", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["dims"]["tau"] == pytest.approx(1.6180339887, abs=1e-8)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "obj, text", [("tau", "1.61803398883"), ("1,1", "2.61803398883"), ("0 1", "1.61803398883")]
+    )
+    def test_fpdim_of_object(self, capsys, fmt, obj, text):
+        """--object is a simple's name or its coefficient vector."""
+        assert cli.main(["fpdim", "--builtin", "fibonacci", "--object", obj, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "table":
+            assert out == text + "\n"
+        else:
+            data = json.loads(out)
+            assert data["object"] == obj and f"{data['fpdim']:.12g}" == text
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_fpdim_of_object_of_wrong_length(self, capsys, fmt):
+        argv = ["fpdim", "--builtin", "fibonacci", "--object", "1,1,1", "--format", fmt]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: object vector length 3 != rank 2\n"
 
     def test_gamma_s3(self, capsys):
         assert cli.main(["gamma", "--builtin", "s3_std_quiver"]) == 0
@@ -416,20 +481,20 @@ class TestCLI:
             (["unfold", "--quiver"], lambda d: d["module"].update(act=[]), 1),
             (["classify", "--quiver"],
              lambda d: d["edges"][0].update(label={"matrix": [[1]], "fpdim": "x"}), 2),
+            (["fpdim", "--ring"], lambda d: "[" * 100_000 + "]" * 100_000, 2),
         ],
         ids=["dual_entry", "module_names", "module_ring_shape", "quiver_module_actions",
-             "label_fpdim"],
+             "label_fpdim", "nested_too_deep"],
     )
     def test_malformed_file_one_line_error(self, tmp_path, capsys, argv, edit, code):
         """Names that are not strings and a label's FP dimension that is not
         a number are usage errors; the validators and the quiver report the
-        rest."""
+        rest. An `edit` that returns text replaces the whole file."""
         data = {"--ring": ring_to_dict(catalog.fibonacci()),
                 "--module": module_to_dict(catalog.verlinde_typeD(4)),
                 "--quiver": quiver_to_dict(catalog.verlinde_l4_typeD_quiver())}[argv[-1]]
-        edit(data)
         path = tmp_path / "bad.json"
-        path.write_text(dumps(data))
+        path.write_text(edit(data) or dumps(data))
         assert cli.main([*argv, str(path)]) == code
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err

@@ -2,6 +2,7 @@
 current code (see tests/golden/make.py)."""
 
 import json
+import sys
 
 import pytest
 
@@ -39,3 +40,26 @@ def test_file_is_in_canonical_form():
 def test_readme_table_is_current():
     readme = (make.HERE.parents[1] / "README.md").read_text()
     assert make.table(GOLDEN) in readme
+
+
+def test_verdicts_read_no_float(monkeypatch):
+    """Gamma comes from the integer actions: with the power iteration and
+    angle_label raising wherever fqk imports them, every catalog quiver still
+    gets its golden record (verdict, enumeration and the reflection-closure
+    oracles) and its golden classify/gamma/enumerate output."""
+    def no_float(*args):
+        raise AssertionError("a verdict read a float")
+
+    for name, module in list(sys.modules.items()):
+        if name == "fqk" or name.startswith("fqk."):
+            for fn in ("perron_eigenpair", "angle_label"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, no_float)
+    keys = [k for k in GOLDEN["catalog"] if make.catalog_kind(k.split()[0]) == "quiver"]
+    assert keys
+    for key in keys:
+        assert make.catalog_record(tuple(key.split())) == GOLDEN["catalog"][key], key
+    argvs = [a for a in make.cli_argvs() if a[0] in ("classify", "gamma", "enumerate")]
+    assert argvs
+    for argv in argvs:
+        assert make.cli_record(argv) == GOLDEN["cli"][" ".join(argv)], argv

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -20,10 +22,11 @@ from fqk import (
     labeled_graph,
     normalize,
     reflect_quiver,
+    regular_module,
     unfold,
 )
-from fqk.quiver import CoxeterGraph
-from fqk.ring import INFINITY
+from fqk.quiver import CoxeterGraph, _label_order
+from fqk.ring import INFINITY, angle_label, fpdim
 
 from conftest import BUILTIN_QUIVERS
 
@@ -56,6 +59,11 @@ class TestBoundary:
     @pytest.mark.parametrize("label", [(1,), (0, 1, 0)])
     def test_label_length_not_rank(self, label):
         with pytest.raises(OutOfRange):
+            FusionQuiver(("a", "b"), (Edge(0, 1, label),), ring=catalog.fibonacci())
+
+    @pytest.mark.parametrize("label", [(1, -1), (-1, 3)])
+    def test_label_with_a_negative_coefficient(self, label):
+        with pytest.raises(OutOfRange, match="non-negative"):
             FusionQuiver(("a", "b"), (Edge(0, 1, label),), ring=catalog.fibonacci())
 
     @pytest.mark.parametrize(
@@ -135,6 +143,13 @@ class TestNormalize:
         n = normalize(Q)
         assert len(n.edges) == 1
         assert n.edges[0].label == (1, 1)
+
+    def test_merge_parallel_matrix_labels(self):
+        a, b = ActionLabel.from_rows([[0, 1], [1, 1]]), ActionLabel.from_rows([[1, 0], [0, 1]])
+        n = normalize(FusionQuiver(("a", "b"), (Edge(0, 1, a), Edge(0, 1, b))))
+        assert [(e.source, e.target, e.label) for e in n.edges] == [
+            (0, 1, ActionLabel.from_rows([[1, 1], [1, 2]]))
+        ]
 
     def test_idempotent(self):
         for Q in BUILTIN_QUIVERS.values():
@@ -220,6 +235,62 @@ class TestGamma:
         assert cg.edges == ()
         cls = classify_coxeter(cg)
         assert cls.type_names() == ("A1", "A1")
+
+
+class TestGammaFromActions:
+    """Gamma's m is read from a label's integer action: its one-edge
+    unfolding (Smith's theorem), not the FP dimension."""
+
+    RINGS = [("fibonacci",), ("rep_s2",), ("rep_s3",), ("rep_s4",)] + [
+        ("verlinde_sl2", L) for L in range(1, 13)
+    ]
+
+    @pytest.mark.parametrize("spec", RINGS, ids=[" ".join(map(str, s)) for s in RINGS])
+    def test_unfolding_order_is_the_fpdim_angle(self, spec):
+        R = catalog.builtin(*spec)
+        dims = fpdim(R).dims
+        for i, rows in enumerate(regular_module(R).act):
+            assert _label_order(rows) == angle_label(dims[i]), (spec, R.names[i])
+
+    @pytest.mark.parametrize(
+        "rows, hs",
+        [([[0, 0, 0], [0, 0, 1], [0, 1, 1]], "[2, 5]"), ([[0, 1], [0, 0]], "[2, 3]"),
+         ([[1, 0], [0, 2]], "[3, inf]")],
+        ids=["reducible", "nilpotent", "finite_and_infinite"],
+    )
+    def test_mixed_orders_rejected(self, rows, hs):
+        Q = FusionQuiver(("a", "b"), (Edge(0, 1, ActionLabel.from_rows(rows)),))
+        for decide in (coxeter_graph, is_finite_type, enumerate_indecomposables):
+            with pytest.raises(OutOfRange, match=re.escape(hs)):
+                decide(Q)
+
+    def test_opposite_edges_sum_with_the_transpose(self):
+        # N + N^T is two A2 blocks, m = 3; 2N would be mixed
+        N = ActionLabel.from_rows([[0, 1], [0, 0]])
+        Q = FusionQuiver(("a", "b"), (Edge(0, 1, N), Edge(1, 0, N)))
+        assert coxeter_graph(Q).edges == ((0, 1, 3),)
+        assert is_finite_type(Q).gamma.type_names() == ("A2",)
+
+    @pytest.mark.parametrize(
+        "rows, pin, ok",
+        [(catalog.sl3at5_action().matrix, 1.618033988749895, True),
+         (catalog.sl3at5_action().matrix, 1.5, False),
+         ([[2]], 2.0, True), ([[2]], 1.9, False), ([[1]], 1.0 + 2e-9, False)],
+        ids=["sl3at5_phi", "sl3at5_1.5", "infinite_2", "infinite_1.9", "m3_off_by_2e-9"],
+    )
+    def test_pinned_fpdim_is_checked(self, rows, pin, ok):
+        Q = FusionQuiver(("a", "b"), (Edge(0, 1, ActionLabel.from_rows(rows, pin)),))
+        if ok:
+            unpinned = replace(Q, edges=(Edge(0, 1, ActionLabel.from_rows(rows)),))
+            assert coxeter_graph(Q) == coxeter_graph(unpinned)
+        else:
+            with pytest.raises(OutOfRange, match="pinned fpdim"):
+                coxeter_graph(Q)
+
+    def test_sl3at5_pinned_phi_is_i25(self):
+        label = ActionLabel(catalog.sl3at5_action().matrix, 1.618033988749895)
+        Q = FusionQuiver(("s", "t"), (Edge(0, 1, label),))
+        assert is_finite_type(Q).gamma.type_names() == ("I2(5)",)
 
 
 COXETER_TABLE = []
