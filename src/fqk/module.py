@@ -17,6 +17,7 @@ from .ring import (
     FusionRing,
     RingElement,
     ValidationReport,
+    combination,
     exact_array,
     perron_eigenpair,
     row_blocks,
@@ -80,6 +81,8 @@ class ModuleCategory:
     def basis(self, l) -> ModuleElement:
         if isinstance(l, str):
             l = self.mnames.index(l)
+        if l not in range(self.msize):
+            raise OutOfRange(f"module simple index {l!r} is outside 0..{self.msize - 1}")
         return tuple(1 if k == l else 0 for k in range(self.msize))
 
     @cached_property
@@ -88,10 +91,6 @@ class ModuleCategory:
         exact_array; the width also covers the contraction with ring.N)."""
         r, n = len(self.act), self.msize
         return exact_array(self.act, (r, n, n), max(r, n))
-
-    def act_matrix(self, i):
-        """Action matrix of ring simple i as an integer array."""
-        return wide(self.tensor[i])
 
 
 def _graph_components(n, edges):
@@ -184,14 +183,7 @@ def regular_module(ring: FusionRing) -> ModuleCategory:
 def action_matrix_of(M: ModuleCategory, x: RingElement):
     """Matrix of the action of a ring element on column vectors over Irr(M),
     as an object array of Python ints."""
-    A, out = M.tensor, None
-    for i, c in enumerate(x):
-        if c:
-            term = A[i].astype(object)
-            if c != 1:
-                term *= c
-            out = term if out is None else out + term
-    return np.zeros(A.shape[1:], dtype=object) if out is None else out
+    return combination(M.tensor, x)
 
 
 def act_on(M: ModuleCategory, x: RingElement, u: ModuleElement) -> ModuleElement:

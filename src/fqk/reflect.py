@@ -28,6 +28,7 @@ from .ring import (
     TOL,
     add,
     angle_label,
+    combination,
     dual as ring_dual,
     fpdim,
     fpdim_of,
@@ -233,15 +234,17 @@ def qnum_free(k: int, color: str = "d") -> NCPolynomial:
 def _qnum_pair_sequence(ring: FusionRing, pi, K: int):
     """([k]_d, [k]_d') for k = 1..K by the coupled ring recursion
     [k+1]_d = pi [k]_d' - [k-1]_d and its color swap."""
-    pi_dual = ring_dual(ring, pi)
-    a_prev, b_prev = ring.zero(), ring.zero()  # index 0
-    a_cur, b_cur = ring.one, ring.one  # index 1
+    # pi y = sum_j y[j] (pi S_j): y against the rows of pi's matrix
+    P = combination(ring.tensor, pi)
+    P_dual = combination(ring.tensor, ring_dual(ring, pi))
+    a_prev = b_prev = np.zeros(ring.rank, dtype=object)  # index 0
+    a_cur = b_cur = np.array(ring.one, dtype=object)  # index 1
     out = []
     for _ in range(K):
-        out.append((a_cur, b_cur))
-        a_new = sub(multiply(ring, pi, b_cur), a_prev)
-        b_new = sub(multiply(ring, pi_dual, a_cur), b_prev)
-        a_prev, b_prev, a_cur, b_cur = a_cur, b_cur, a_new, b_new
+        out.append((tuple(a_cur.tolist()), tuple(b_cur.tolist())))
+        a_prev, b_prev, a_cur, b_cur = (
+            a_cur, b_cur, b_cur.dot(P) - a_prev, a_cur.dot(P_dual) - b_prev
+        )
     return out
 
 
@@ -479,13 +482,11 @@ def extended_positive_roots(Q: FusionQuiver) -> ExtendedRootReport:
     orbits = []
     extended = set()
     for r in sorted(positives):
-        mults = []
-        for l in range(ring.rank):
-            e_l = ring.basis(l)
-            scaled = tuple(multiply(ring, coeff, e_l) for coeff in r)
-            mults.append(scaled)
-            extended.add(scaled)
-        orbits.append((r, tuple(mults)))
+        # row l of a coefficient's matrix is its product with S_l
+        rows = [combination(ring.tensor, coeff).tolist() for coeff in r]
+        mults = tuple(tuple(tuple(m[l]) for m in rows) for l in range(ring.rank))
+        extended.update(mults)
+        orbits.append((r, mults))
 
     expected = set(enumerate_indecomposables(Q))
     if extended != expected:

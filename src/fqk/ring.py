@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidDimension, NonConvergence
+from .errors import InvalidDimension, NonConvergence, OutOfRange
 
 RingElement = tuple  # tuple[int, ...] over the simple basis
 
@@ -128,6 +128,8 @@ class FusionRing:
         """The class of the i-th simple (index or name)."""
         if isinstance(i, str):
             i = self.names.index(i)
+        if i not in range(self.rank):
+            raise OutOfRange(f"simple index {i!r} is outside 0..{self.rank - 1}")
         return tuple(1 if k == i else 0 for k in range(self.rank))
 
     @property
@@ -136,11 +138,6 @@ class FusionRing:
 
     def zero(self) -> RingElement:
         return (0,) * self.rank
-
-    def left_mult_matrix(self, i):
-        """Matrix of left multiplication by simple i on column coefficient
-        vectors: entry [k][j] = N[i][j][k]."""
-        return wide(self.tensor[i].T)
 
 
 def validate(ring: FusionRing) -> ValidationReport:
@@ -211,30 +208,33 @@ def validate(ring: FusionRing) -> ValidationReport:
     return rep
 
 
+def combination(stack: np.ndarray, x: RingElement) -> np.ndarray:
+    """sum_i x[i] * stack[i] as an object array of Python ints: the matrix of
+    a ring element, from the ring's or a module's tensor.  Every product of
+    ring elements is formed here, so all are exact at any size."""
+    if len(x) != len(stack):
+        raise ValueError(f"an element of length {len(x)} does not match the {len(stack)} simples")
+    out = None
+    for c, m in zip(x, stack):
+        if c:
+            term = m.astype(object)
+            if c != 1:
+                term *= c
+            out = term if out is None else out + term
+    return np.zeros(stack.shape[1:], dtype=object) if out is None else out
+
+
 def multiply(ring: FusionRing, x: RingElement, y: RingElement) -> RingElement:
-    if len(x) != ring.rank or len(y) != ring.rank:
-        raise ValueError("element length does not match ring rank")
-    r = ring.rank
-    out = [0] * r
-    for i in range(r):
-        if not x[i]:
-            continue
-        for j in range(r):
-            if not y[j]:
-                continue
-            c = x[i] * y[j]
-            row = ring.N[i][j]
-            for k in range(r):
-                if row[k]:
-                    out[k] += c * row[k]
-    return tuple(out)
+    """The product xy = sum_j y[j] (x S_j), where row j of x's matrix
+    sum_i x[i] N[i] is x S_j."""
+    return tuple(combination(combination(ring.tensor, x), y).tolist())
 
 
 def dual(ring: FusionRing, x: RingElement) -> RingElement:
     """Apply the dual involution to an element's coefficients."""
     out = [0] * ring.rank
-    for i, c in enumerate(x):
-        out[ring.dual[i]] = c
+    for c, d in zip(x, ring.dual, strict=True):
+        out[d] = c
     return tuple(out)
 
 
@@ -299,7 +299,7 @@ def fpdim(ring: FusionRing) -> FPVector:
 def fpdim_of(ring: FusionRing, x: RingElement, fpv: FPVector | None = None) -> float:
     if fpv is None:
         fpv = fpdim(ring)
-    return float(sum(c * d for c, d in zip(x, fpv.dims)))
+    return float(sum(c * d for c, d in zip(x, fpv.dims, strict=True)))
 
 
 INFINITY = math.inf

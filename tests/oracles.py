@@ -3,8 +3,8 @@ and reflection kernels.
 
 These are the original element-by-element loops over the nested-tuple data.
 The vectorized kernels in `fqk.ring` and `fqk.module` must reproduce their
-reports entry for entry, in the same order, and their FP dimensions bit for
-bit.  The per-component root closure in `fqk.unfold` must give the roots of
+reports entry for entry, in the same order, their FP dimensions bit for bit
+and their products exactly.  The per-component root closure in `fqk.unfold` must give the roots of
 the global-coordinate closure, and the reflection in `fqk.reflect` must
 agree with the per-edge action below and, on FP dimensions, with its real
 shadow.
@@ -15,12 +15,54 @@ import numpy as np
 from fqk.errors import InfiniteComponent
 from fqk.module import label_matrix, module_fpdims
 from fqk.quiver import label_fpdim
-from fqk.ring import FPVector, ValidationReport, fpdim, perron_eigenpair
+from fqk.ring import FPVector, ValidationReport, dual, fpdim, perron_eigenpair, sub
 
 
 def _left_mult(ring, i):
     r = ring.rank
     return np.array([[ring.N[i][j][k] for j in range(r)] for k in range(r)], dtype=object)
+
+
+def loop_multiply(ring, x, y) -> tuple:
+    if len(x) != ring.rank or len(y) != ring.rank:
+        raise ValueError("element length does not match ring rank")
+    r = ring.rank
+    out = [0] * r
+    for i in range(r):
+        if not x[i]:
+            continue
+        for j in range(r):
+            if not y[j]:
+                continue
+            c = x[i] * y[j]
+            row = ring.N[i][j]
+            for k in range(r):
+                if row[k]:
+                    out[k] += c * row[k]
+    return tuple(out)
+
+
+def loop_qnum_pairs(ring, pi, K) -> list:
+    """([k]_d, [k]_d') for k = 1..K, one loop_multiply per step and color."""
+    pi_dual = dual(ring, pi)
+    a_prev, b_prev = ring.zero(), ring.zero()
+    a_cur, b_cur = ring.one, ring.one
+    out = []
+    for _ in range(K):
+        out.append((a_cur, b_cur))
+        a_new = sub(loop_multiply(ring, pi, b_cur), a_prev)
+        b_new = sub(loop_multiply(ring, pi_dual, a_cur), b_prev)
+        a_prev, b_prev, a_cur, b_cur = a_cur, b_cur, a_new, b_new
+    return out
+
+
+def loop_extended_orbits(ring, phi_plus) -> tuple:
+    """Per root: the tuple over simples l of the root times S_l."""
+    simples = [ring.basis(l) for l in range(ring.rank)]
+    return tuple(
+        (r, tuple(tuple(loop_multiply(ring, c, s) for c in r) for s in simples))
+        for r in phi_plus
+    )
 
 
 def loop_validate(ring) -> ValidationReport:

@@ -1,6 +1,7 @@
 """The integer-array kernel of the ring and module layers against the
 brute-force loops in `oracles.py`: identical reports on perturbed data,
-bit-identical FP dimensions, and exact arithmetic past int64."""
+bit-identical FP dimensions, identical products, and exact arithmetic past
+int64."""
 
 from unittest import mock
 
@@ -10,22 +11,36 @@ from hypothesis import given, settings, strategies as st
 
 from fqk import (
     Edge,
+    FQKError,
     FusionQuiver,
     FusionRing,
     MissingAction,
     ModuleCategory,
     act_on,
     catalog,
+    extended_positive_roots,
     fpdim,
     module_fpdims,
+    multiply,
+    qnum_in_ring,
     reflect_dimvec,
     regular_module,
+    sign_coherence,
     validate,
     validate_module,
 )
 from fqk.module import label_matrix
+from fqk.ring import wide
 
-from oracles import loop_fpdim, loop_module_fpdims, loop_validate, loop_validate_module
+from oracles import (
+    loop_extended_orbits,
+    loop_fpdim,
+    loop_module_fpdims,
+    loop_multiply,
+    loop_qnum_pairs,
+    loop_validate,
+    loop_validate_module,
+)
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -181,6 +196,48 @@ class TestAgainstLoopOracle:
         assert module_fpdims(M) == loop_module_fpdims(M)
 
 
+def is_cube(R: FusionRing) -> bool:
+    return all(len(row) == R.rank for mat in R.N for row in mat)
+
+
+# small coefficients, and some past 2**63
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+class TestProductAgainstLoop:
+    @PROPERTY
+    @given(st.data())
+    def test_multiply_identical(self, data):
+        R = data.draw(perturbed_rings().filter(is_cube))
+        x, y = (data.draw(st.tuples(*[COEFFS] * R.rank)) for _ in "xy")
+        got = multiply(R, x, y)
+        assert got == loop_multiply(R, x, y)
+        assert all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize("name", sorted(catalog_rings()))
+    def test_catalog_quantum_numbers(self, name):
+        R = catalog_rings()[name]
+        K = 30
+        for i in range(R.rank):
+            pi = R.basis(i)
+            pairs = loop_qnum_pairs(R, pi, K)
+            assert sign_coherence(R, pi, K).values_d == tuple(a for a, _ in pairs)
+            for k in (1, 2, K):
+                assert qnum_in_ring(R, pi, k) == pairs[k - 1][0]
+                assert qnum_in_ring(R, pi, -k, "d'") == tuple(-c for c in pairs[k - 1][1])
+
+    @pytest.mark.parametrize(
+        "key", [k for k in catalog.catalog_keys() if catalog.catalog_kind(k) == "quiver"]
+    )
+    def test_catalog_extended_orbits(self, key):
+        Q = catalog.builtin(key)
+        try:
+            rep = extended_positive_roots(Q)
+        except FQKError:
+            return  # infinite type or partial mode: no orbits to compare
+        assert rep.orbits == loop_extended_orbits(Q.ring, rep.phi_plus)
+
+
 class TestExactness:
     def big_ring(self):
         """A rank-5 ring with structure constants 2**31 - 1 off the unit: each
@@ -204,6 +261,8 @@ class TestExactness:
         M = regular_module(R)
         assert M.tensor.dtype == object
         same_report(validate_module(M), loop_validate_module(M))
+        x, y = (0, 3, 0, 2**40, 1), (1, 2**70, 5, 0, 2**31 - 1)
+        assert multiply(R, x, y) == loop_multiply(R, x, y)
 
     def test_int64_would_have_wrapped(self):
         R = self.big_ring()
@@ -214,7 +273,7 @@ class TestExactness:
     def test_small_data_stays_narrow(self):
         assert catalog.rep_s4().tensor.dtype == np.int8
         assert regular_module(catalog.verlinde_sl2(6)).tensor.dtype == np.int8
-        assert catalog.fibonacci().left_mult_matrix(1).dtype == np.int64
+        assert wide(catalog.fibonacci().tensor[1].T).dtype == np.int64
 
     def test_act_on_above_int64(self):
         fib = catalog.fibonacci()

@@ -18,7 +18,7 @@ from fqk import (
     unfold,
     validate_module,
 )
-from fqk.ring import perron_eigenpair
+from fqk.ring import perron_eigenpair, wide
 
 from conftest import BUILTIN_MODULES, BUILTIN_RINGS
 
@@ -47,7 +47,7 @@ class TestValidateModule:
     def test_exhaustive_action_axiom(self):
         for M in all_modules().values():
             ring = M.ring
-            mats = [M.act_matrix(i) for i in range(ring.rank)]
+            mats = [wide(M.tensor[i]) for i in range(ring.rank)]
             for i in range(ring.rank):
                 for j in range(ring.rank):
                     rhs = sum(
@@ -59,7 +59,7 @@ class TestValidateModule:
         for M in all_modules().values():
             for i in range(M.ring.rank):
                 assert np.array_equal(
-                    M.act_matrix(M.ring.dual[i]), M.act_matrix(i).T
+                    wide(M.tensor[M.ring.dual[i]]), wide(M.tensor[i]).T
                 )
 
 
@@ -93,7 +93,7 @@ class TestRegularModule:
         for ring in BUILTIN_RINGS.values():
             M = regular_module(ring)
             assert np.array_equal(
-                M.act_matrix(ring.unit), np.eye(M.msize, dtype=object)
+                wide(M.tensor[ring.unit]), np.eye(M.msize, dtype=object)
             )
 
 
@@ -168,7 +168,7 @@ class TestModuleFPdims:
         for M in all_modules().values():
             dims = fpdim(M.ring).dims
             for i in range(M.ring.rank):
-                lam, _ = perron_eigenpair(np.asarray(M.act_matrix(i), dtype=float))
+                lam, _ = perron_eigenpair(np.asarray(wide(M.tensor[i]), dtype=float))
                 assert lam == pytest.approx(dims[i], abs=1e-8)
 
     def test_common_eigenvector(self):
@@ -176,7 +176,7 @@ class TestModuleFPdims:
             mu = np.array(module_fpdims(M))
             dims = fpdim(M.ring).dims
             for i in range(M.ring.rank):
-                m = np.asarray(M.act_matrix(i), dtype=float)
+                m = np.asarray(wide(M.tensor[i]), dtype=float)
                 assert np.allclose(m @ mu, dims[i] * mu, atol=1e-7)
 
     def test_action_label_pin_is_its_fpdim(self, monkeypatch):
@@ -217,6 +217,12 @@ class TestMcKay:
         M = regular_module(catalog.fibonacci())
         with pytest.raises(OutOfRange, match="does not act on the 2 module simples"):
             mckay_quiver(M, ActionLabel.from_rows(rows))
+
+    @pytest.mark.parametrize("label", [(1,), (0, 1, 1)], ids=["short", "long"])
+    def test_ring_label_of_another_length_is_rejected(self, label):
+        M = regular_module(catalog.fibonacci())
+        with pytest.raises(ValueError, match=f"length {len(label)} does not match the 2 simples"):
+            mckay_quiver(M, label)
 
     def test_s3_separated_matches_unfold(self):
         s3 = catalog.rep_s3()

@@ -5,15 +5,18 @@ import pytest
 from fqk import (
     FusionRing,
     InvalidDimension,
+    OutOfRange,
     angle_label,
     catalog,
     dual,
     fpdim,
     fpdim_of,
     multiply,
+    regular_module,
     validate,
+    x_ell_dimvec,
 )
-from fqk.ring import INFINITY
+from fqk.ring import INFINITY, wide
 
 from conftest import BUILTIN_RINGS, random_element
 
@@ -84,8 +87,21 @@ class TestMultiply:
 
     def test_length_mismatch(self):
         fib = catalog.fibonacci()
-        with pytest.raises(ValueError):
-            multiply(fib, (1,), (1, 0))
+        M = regular_module(fib)
+        wrong = [
+            (ValueError, lambda: multiply(fib, (1,), (1, 0))),
+            (ValueError, lambda: multiply(fib, (1, 0), (1, 0, 0))),
+            (ValueError, lambda: fpdim_of(fib, (1,))),
+            (ValueError, lambda: fpdim_of(fib, (1, 1, 5))),
+            (ValueError, lambda: dual(fib, (1,))),
+            (OutOfRange, lambda: fib.basis(5)),
+            (OutOfRange, lambda: fib.basis(-1)),
+            (OutOfRange, lambda: M.basis(2)),
+            (OutOfRange, lambda: x_ell_dimvec(fib, M, fib.basis("tau"), 7, 1)),
+        ]
+        for error, call in wrong:
+            with pytest.raises(error):
+                call()
 
 
 class TestDual:
@@ -129,7 +145,7 @@ class TestFPdim:
             fpv = fpdim(ring)
             d = np.array(fpv.dims)
             for i in range(ring.rank):
-                m = np.asarray(ring.left_mult_matrix(i), dtype=float)
+                m = np.asarray(wide(ring.tensor[i].T), dtype=float)
                 assert np.allclose(m @ d, fpv.dims[i] * d, atol=1e-8)
 
     def test_homomorphism_on_random_pairs(self, rng):
