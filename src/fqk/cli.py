@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from functools import cache
@@ -87,7 +88,8 @@ def _quiver(args) -> FusionQuiver:
     else:
         raise UsageError("a quiver is required (--quiver or --builtin)")
     if args.module:
-        Q = replace(Q, module=_load(args, fio.load_module, args.module))
+        M = _load(args, fio.load_module, args.module)
+        Q = _user_input(lambda: replace(Q, module=M), source=args.module)
     return _user_input(normalize, Q, source=args.quiver)
 
 
@@ -364,7 +366,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 quietly, with stdout on devnull so
+        # the flush at exit cannot fail again (the signal module's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -235,12 +235,22 @@ class OrdinaryQuiver:
 def label_matrix(M: ModuleCategory | None, label):
     """The action matrix of an edge label on Irr(M), as an object array of
     Python ints: a partial-mode label's own matrix, or the action of a
-    ring-element label, which needs the module."""
+    ring-element label, which needs the module and non-negative
+    coefficients."""
     if isinstance(label, ActionLabel):
         return np.array(label.matrix, dtype=object)
     if M is None:
         raise MissingAction("ring-element label with no module data")
+    if min(label, default=0) < 0:
+        raise OutOfRange(f"label {label} does not have non-negative coefficients")
     return action_matrix_of(M, label)
+
+
+def action_arrows(rows, s, t) -> list:
+    """The arrows (s + l, t + l', A[l'][l]) of an action A given by its rows,
+    one per non-zero entry, ordered by l and then by l'."""
+    columns = enumerate(zip(*rows))
+    return [(s + l, t + lp, m) for l, column in columns for lp, m in enumerate(column) if m]
 
 
 def mckay_quiver(M: ModuleCategory, label, separated: bool = False) -> OrdinaryQuiver:
@@ -250,10 +260,7 @@ def mckay_quiver(M: ModuleCategory, label, separated: bool = False) -> OrdinaryQ
     mat = label_matrix(M, label)
     if len(mat) != M.msize:
         raise OutOfRange(f"a label's matrix does not act on the {M.msize} module simples")
-    shift = M.msize if separated else 0
-    arrows = tuple(
-        (l, shift + lp, int(mat[lp, l])) for l, lp in np.argwhere(mat.T).tolist()
-    )
+    arrows = tuple(action_arrows(mat.tolist(), 0, M.msize if separated else 0))
     vertices = tuple(M.mnames)
     if separated:
         vertices = tuple(f"{side}:{nm}" for side in "st" for nm in vertices)

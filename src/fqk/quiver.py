@@ -12,6 +12,7 @@ from .module import (
     ActionLabel,
     ModuleCategory,
     _graph_components,
+    action_arrows,
     label_matrix,
     regular_module,
 )
@@ -54,6 +55,8 @@ class FusionQuiver:
             M = regular_module(self.ring)
         if M is not None and len(M.act) != M.ring.rank:
             raise OutOfRange("number of action matrices != ring rank")
+        if self.ring is not None and self.module is not None and self.module.ring != self.ring:
+            raise OutOfRange("the module is not over the quiver's ring")
         for e in self.edges:
             if not (0 <= e.source < self.nv and 0 <= e.target < self.nv):
                 raise OutOfRange(
@@ -63,9 +66,8 @@ class FusionQuiver:
                 continue
             if self.ring is None:
                 raise MissingAction(f"ring-element label {e.label} on a quiver with no ring")
-            for r in (self.ring, M.ring):
-                if len(e.label) != r.rank or min(e.label, default=0) < 0:
-                    raise OutOfRange(f"label {e.label} is not {r.rank} non-negative coefficients")
+            if len(e.label) != self.ring.rank:
+                raise OutOfRange(f"label {e.label} is not {self.ring.rank} coefficients")
         actions = tuple(label_matrix(M, e.label).tolist() for e in self.edges)
         mnames = M.mnames if M is not None else self.mnames
         if mnames is None:
@@ -210,13 +212,10 @@ def _label_order(rows):
     every component is A/D/E of Coxeter number h. INFINITY when none is; by
     Perron-Frobenius an action has one or the other, so a mix is rejected."""
     n = len(rows)
-    edges = [(l, n + lp, a) for lp, row in enumerate(rows) for l, a in enumerate(row) if a]
-    hs = set()
-    for comp, sub in _graph_components(2 * n, edges):
-        named = None
-        if all(a == 1 for *_, a in sub):
-            named = _coxeter_pattern(comp, [(u, v, 3) for u, v, _ in sub])
-        hs.add(INFINITY if named is None else named[1])
+    hs = {
+        INFINITY if named is None else named[1]
+        for _, _, named in simply_laced_components(2 * n, action_arrows(rows, 0, n))
+    }
     if len(hs) != 1:
         raise OutOfRange(f"a label's unfolding mixes Coxeter numbers {sorted(hs)}")
     return hs.pop()
@@ -356,6 +355,22 @@ def _coxeter_pattern(comp, edges):
             return "G2", 6
         return f"I2({m})", m
     return None
+
+
+def simply_laced_components(n, arrows):
+    """The connected components of the undirected multigraph on range(n) with
+    the (s, t, multiplicity) arrows, multiplicities summed over each unordered
+    pair, in order of their least vertex: triples of the sorted vertex tuple,
+    whether the component is simple (no loop, no multiple edge) and, for a
+    simple one, its A/D/E name and Coxeter number, else None."""
+    acc = {}
+    for s, t, m in arrows:
+        key = (min(s, t), max(s, t))
+        acc[key] = acc.get(key, 0) + m
+    for comp, sub in _graph_components(n, [(u, v, m) for (u, v), m in acc.items()]):
+        simple = all(m == 1 and u != v for u, v, m in sub)
+        named = _coxeter_pattern(comp, [(u, v, 3) for u, v, _ in sub]) if simple else None
+        yield comp, simple, named
 
 
 def classify_coxeter(G) -> CoxeterClassification:

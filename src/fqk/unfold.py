@@ -8,14 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentVerdict, InfiniteComponent, InfiniteType
-from .module import ModuleCategory, _graph_components
+from .module import ModuleCategory, action_arrows
 from .quiver import (
     CoxeterClassification,
     FusionQuiver,
-    _coxeter_pattern,
     _with_module,
     classify_coxeter,
     coxeter_graph,
+    simply_laced_components,
 )
 from .ring import INFINITY, fmt_m
 
@@ -58,12 +58,7 @@ def unfold(Q: FusionQuiver, M: ModuleCategory | None = None) -> UnfoldedQuiver:
     vertices = tuple((v, l) for v in range(Q.nv) for l in range(n))
     arrows = []
     for e, rows in zip(Q.edges, Q.edge_actions):
-        for l, column in enumerate(zip(*rows)):
-            arrows += [
-                (e.source * n + l, e.target * n + lp, m)
-                for lp, m in enumerate(column)
-                if m
-            ]
+        arrows += action_arrows(rows, e.source * n, e.target * n)
     return UnfoldedQuiver(
         qvertices=tuple(Q.vertices),
         mnames=mnames,
@@ -99,29 +94,14 @@ class ComponentReport:
         return sum(c.positive_root_count for c in self.components)
 
 
-def _undirected_mult(arrows):
-    acc = {}
-    for s, t, m in arrows:
-        key = (min(s, t), max(s, t))
-        acc[key] = acc.get(key, 0) + m
-    return acc
-
-
 def components(U) -> ComponentReport:
     """Connected components of the underlying undirected multigraph of an
     unfolded or ordinary quiver, each recognized as a finite ADE type (path /
     branched-tree arm analysis) or reported infinite."""
-    edges = [(u, v, m) for (u, v), m in _undirected_mult(U.arrows).items()]
     out = []
-    for comp, sub in _graph_components(len(U.vertices), edges):
-        simply_laced = all(m == 1 and u != v for u, v, m in sub)
-        named = None
-        if simply_laced:
-            named = _coxeter_pattern(comp, [(u, v, 3) for u, v, _ in sub])
+    for comp, simple, named in simply_laced_components(len(U.vertices), U.arrows):
         if named is None:
-            out.append(
-                UnfoldedComponent(comp, simply_laced, "infinite", False, INFINITY, INFINITY)
-            )
+            out.append(UnfoldedComponent(comp, simple, "infinite", False, INFINITY, INFINITY))
             continue
         name, h = named
         if name[0] in "AD":

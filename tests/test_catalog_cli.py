@@ -1,7 +1,10 @@
 import contextlib
 import io as stdio
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from fqk import (
     builtin,
     fpdim,
     multiply,
+    regular_module,
     validate,
     validate_module,
 )
@@ -284,6 +288,38 @@ class TestCLI:
         assert cli.main(argv) == 1
         path = next(a for a in argv if a in paths.values())
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("cmd", ["classify", "enumerate"])
+    def test_module_over_another_ring_exit_1(self, tmp_path, capsys, cmd):
+        path = tmp_path / "s2.json"
+        path.write_text(dumps(module_to_dict(regular_module(catalog.rep_s2()))))
+        assert cli.main([cmd, "--builtin", "fib_edge_quiver", "--module", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: the module is not over the quiver's ring\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qnum", "--builtin", "verlinde_sl2", "6", "--object", "V3", "--upto", "400"],
+            ["catalog", "list"],
+        ],
+        ids=["qnum", "catalog"],
+    )
+    def test_closed_stdout_exits_1_silently(self, argv):
+        import fqk
+
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        env = dict(os.environ, PYTHONPATH=str(Path(fqk.__file__).parents[1]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fqk.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
 
     @pytest.mark.parametrize(
         "argv",

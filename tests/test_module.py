@@ -224,6 +224,12 @@ class TestMcKay:
         with pytest.raises(ValueError, match=f"length {len(label)} does not match the 2 simples"):
             mckay_quiver(M, label)
 
+    @pytest.mark.parametrize("separated", [False, True])
+    def test_label_with_a_negative_coefficient_is_rejected(self, separated):
+        M = regular_module(catalog.fibonacci())
+        with pytest.raises(OutOfRange, match="non-negative"):
+            mckay_quiver(M, (-1, 0), separated=separated)
+
     def test_s3_separated_matches_unfold(self):
         s3 = catalog.rep_s3()
         M = regular_module(s3)
@@ -248,5 +254,4 @@ class TestMcKay:
                         module=M,
                     )
                 )
-                U = unfold(Q)
-                assert sorted(q.arrows) == sorted(U.arrows)
+                assert q.arrows == unfold(Q).arrows

@@ -21,6 +21,7 @@ from fqk import (
     is_finite_type,
     labeled_graph,
     normalize,
+    rank_two_order,
     reflect_quiver,
     regular_module,
     unfold,
@@ -65,6 +66,21 @@ class TestBoundary:
     def test_label_with_a_negative_coefficient(self, label):
         with pytest.raises(OutOfRange, match="non-negative"):
             FusionQuiver(("a", "b"), (Edge(0, 1, label),), ring=catalog.fibonacci())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fib, M: FusionQuiver(("a", "b"), (Edge(0, 1, (0, 1)),), ring=fib, module=M),
+            lambda fib, M: unfold(catalog.fib_edge_quiver(), M),
+            lambda fib, M: enumerate_by_closure(catalog.fib_edge_quiver(), M),
+            lambda fib, M: rank_two_order(fib, fib.basis("tau"), module=M),
+        ],
+        ids=["constructor", "unfold", "enumerate_by_closure", "rank_two_order"],
+    )
+    def test_module_over_another_ring(self, call):
+        # Rep(S2) has the Fibonacci ring's rank, so only the ring tells them apart
+        with pytest.raises(OutOfRange, match="not over the quiver's ring"):
+            call(catalog.fibonacci(), regular_module(catalog.rep_s2()))
 
     @pytest.mark.parametrize(
         "rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [[0, -1], [-1, 0]]],
