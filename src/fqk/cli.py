@@ -240,11 +240,11 @@ def cmd_mckay(args) -> int:
     if not isinstance(M, ModuleCategory):
         raise UsageError("mckay needs a module (--module or --builtin)")
     spec = args.label
-    label = _user_input(
-        lambda: fio.label_from_json(M.ring, json.loads(spec) if spec.startswith("{") else spec),
+    label = _user_input(  # JSON: a {"matrix": ...} object or a coefficient list
+        lambda: fio.label_from_json(M.ring, json.loads(spec) if spec[:1] in "{[" else spec),
         source="--label",
     )
-    q = mckay_quiver(M, label, separated=args.separated)
+    q = _user_input(mckay_quiver, M, label, args.separated, source="--label")
     return _emit_arrows(args, q.vertices, q.arrows)
 
 

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache
 
+import numpy as np
+
 from .errors import InconsistentVerdict, MissingAction, NotReflectable, OutOfRange
 from .module import (
     ActionLabel,
@@ -270,21 +272,21 @@ class CoxeterClassification:
 
 
 def _posdef(gram) -> bool:
-    """Positive definiteness via leading principal minors (exact expansion on
-    small float matrices); |minor| < TOL counts as not positive definite."""
-    import numpy as np
-
-    g = np.asarray(gram, dtype=float)
-    for k in range(1, g.shape[0] + 1):
-        minor = float(np.linalg.det(g[:k, :k]))
-        if minor < TOL:
-            return False
-    return True
+    """Positive definiteness by one Cholesky (LDL^T) factorization, whose
+    pivots are the squares of L's diagonal; a pivot below TOL counts as not
+    positive definite (an affine graph's last pivot is 0 up to rounding)."""
+    try:
+        L = np.linalg.cholesky(np.array(gram, dtype=float))
+    except np.linalg.LinAlgError:  # a pivot <= 0
+        return False
+    return bool(np.diagonal(L).min() ** 2 >= TOL)
 
 
 def _coxeter_pattern(comp, edges):
-    """Name a connected Coxeter-graph component from the finite table, or
-    return None if it matches nothing (infinite type).
+    """Name a connected Coxeter-graph component from the finite table: (name,
+    Coxeter number, vertices in arm order), or None (infinite type).  Arm order
+    walks a path end to end, a branched tree from the far end of its longest
+    arm to the branch vertex, then out along the other arms, shortest first.
 
     `comp` is the sorted vertex tuple; `edges` the (u, v, m) list restricted
     to it."""
@@ -292,7 +294,7 @@ def _coxeter_pattern(comp, edges):
     if any(u == v for u, v, _ in edges):
         return None  # a loop puts 2 - 2 FPdim <= 0 on the Gram diagonal
     if n == 1:
-        return "A1", 2
+        return "A1", 2, comp
     if any(m == INFINITY for _, _, m in edges):
         return None
     if len(edges) != n - 1:
@@ -308,52 +310,54 @@ def _coxeter_pattern(comp, edges):
         return None
     branch = [v for v in comp if degs[v] == 3]
 
-    def arm_lengths(c):
-        lengths = []
+    def arms(c):  # shortest first, each walked outwards from c
+        out = []
         for w, _ in adj[c]:
-            ln, prev, cur = 1, c, w
-            while degs[cur] == 2:
-                nxt = [x for x, _ in adj[cur] if x != prev][0]
-                prev, cur, ln = cur, nxt, ln + 1
-            lengths.append(ln)
-        return sorted(lengths)
+            arm = [c, w]
+            while degs[arm[-1]] == 2:
+                arm.append(next(x for x, _ in adj[arm[-1]] if x != arm[-2]))
+            out.append(arm[1:])
+        return sorted(out, key=len)
 
     if branch:
         if high:
             return None
-        a, b, c = arm_lengths(branch[0])
+        short, middle, long = arms(branch[0])
+        order = (*long[::-1], branch[0], *short, *middle)
+        a, b, c = map(len, (short, middle, long))
         if a == b == 1:
-            return f"D{n}", 2 * n - 2
+            return f"D{n}", 2 * n - 2, order
         if (a, b) == (1, 2) and c in (2, 3, 4):
-            return {2: ("E6", 12), 3: ("E7", 18), 4: ("E8", 30)}[c]
+            return (*{2: ("E6", 12), 3: ("E7", 18), 4: ("E8", 30)}[c], order)
         return None
 
-    # path component
+    end = min(v for v in comp if degs[v] == 1)
+    order = (end, *arms(end)[0])  # the path, from its least end
     if not high:
-        return f"A{n}", n + 1
+        return f"A{n}", n + 1, order
     if len(high) > 1:
         return None
     u, v, m = high[0]
     at_leaf = degs[u] == 1 or degs[v] == 1
     if m == 4:
         if at_leaf:
-            return f"B{n}", 2 * n
+            return f"B{n}", 2 * n, order
         if n == 4:  # the only interior-4 finite path
-            return "F4", 12
+            return "F4", 12, order
         return None
     if m == 5 and at_leaf:
         if n == 2:
-            return "I2(5)", 5
+            return "I2(5)", 5, order
         if n == 3:
-            return "H3", 10
+            return "H3", 10, order
         if n == 4:
-            return "H4", 30
+            return "H4", 30, order
         return None
     if n == 2:
         m = int(m)
         if m == 6:
-            return "G2", 6
-        return f"I2({m})", m
+            return "G2", 6, order
+        return f"I2({m})", m, order
     return None
 
 
@@ -362,7 +366,7 @@ def simply_laced_components(n, arrows):
     the (s, t, multiplicity) arrows, multiplicities summed over each unordered
     pair, in order of their least vertex: triples of the sorted vertex tuple,
     whether the component is simple (no loop, no multiple edge) and, for a
-    simple one, its A/D/E name and Coxeter number, else None."""
+    simple one, its A/D/E name, Coxeter number and arm order, else None."""
     acc = {}
     for s, t, m in arrows:
         key = (min(s, t), max(s, t))
@@ -396,7 +400,7 @@ def classify_coxeter(G) -> CoxeterClassification:
         if named is None:
             out.append(ComponentClass(comp, "infinite", False, INFINITY))
         else:
-            name, h = named
+            name, h, _ = named
             out.append(ComponentClass(comp, name, True, h))
     return CoxeterClassification(components=tuple(out))
 

@@ -6,6 +6,7 @@ vectors as those roots folded back."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InconsistentVerdict, InfiniteComponent, InfiniteType
 from .module import ModuleCategory, action_arrows
@@ -75,6 +76,7 @@ class UnfoldedComponent:
     finite: bool
     coxeter_number: object  # int or inf
     positive_root_count: object  # int or inf
+    order: tuple = ()  # the vertices in arm order (quiver._coxeter_pattern); () when infinite
 
 
 @dataclass(frozen=True)
@@ -103,15 +105,9 @@ def components(U) -> ComponentReport:
         if named is None:
             out.append(UnfoldedComponent(comp, simple, "infinite", False, INFINITY, INFINITY))
             continue
-        name, h = named
-        if name[0] in "AD":
-            roots = ADE_ROOT_COUNTS[name[0]](len(comp))
-        elif name in ADE_ROOT_COUNTS:
-            roots = ADE_ROOT_COUNTS[name]
-        else:
-            # simply laced labels can only pattern-match A/D/E
-            raise InconsistentVerdict(f"unexpected simply laced type {name}")
-        out.append(UnfoldedComponent(comp, True, name, True, h, roots))
+        name, h, order = named
+        roots = ADE_ROOT_COUNTS[name[0]](len(comp)) if name[0] in "AD" else ADE_ROOT_COUNTS[name]
+        out.append(UnfoldedComponent(comp, True, name, True, h, roots, order))
     return ComponentReport(components=tuple(out))
 
 
@@ -178,58 +174,87 @@ def _cross_checked(Q: FusionQuiver, U: UnfoldedQuiver) -> FiniteTypeVerdict:
 
 
 def positive_roots_simply_laced(U) -> frozenset:
-    """All positive roots of a disjoint union of finite ADE quivers (an
-    unfolded or an ordinary quiver).  Each component is closed from its simple
-    roots, in its own coordinates, under the reflections
-    x -> x - (2 x_i - sum of neighbor entries) e_i that raise x_i; the
-    closure must reach the table's root count, and is then embedded."""
-    return _roots(U, components(U))
+    """All positive roots of a disjoint union of finite ADE quivers (unfolded
+    or ordinary), listed per component by its type and checked against Gabriel's table."""
+    return frozenset(_roots(U, components(U)))
 
 
-def _roots(U, rep: ComponentReport) -> frozenset:
-    """positive_roots_simply_laced on the component report rep of U."""
+def _roots(U, rep: ComponentReport) -> list:
+    """positive_roots_simply_laced on the component report rep of U, as a list."""
     if not rep.finite:
         raise InfiniteComponent("some component is not finite ADE")
     if rep.total_root_count() > ROOT_CLOSURE_CAP:
         raise InfiniteComponent("root closure exceeded the cap")
     nv = len(U.vertices)
-    adj = [[] for _ in range(nv)]
-    for s, t, _ in U.arrows:  # finite components are simple graphs
-        adj[s].append(t)
-        adj[t].append(s)
     roots = []
     for c in rep.components:
-        local = {v: i for i, v in enumerate(c.vertices)}
-        nbrs = [[local[w] for w in adj[v]] for v in c.vertices]
-        k, want = len(nbrs), c.positive_root_count
-        found = {tuple(int(i == j) for j in range(k)) for i in range(k)}
-        frontier = list(found)
-        while frontier and len(found) <= want:
-            x = frontier.pop()
-            for i, around in enumerate(nbrs):
-                yi = sum(x[j] for j in around) - x[i]
-                if yi > x[i]:
-                    y = x[:i] + (yi,) + x[i + 1:]
-                    if y not in found:
-                        found.add(y)
-                        frontier.append(y)
-        if len(found) != want:
+        if c.type_name[0] == "E":
+            found = [_embedded(c.order, x, nv) for x in _e_roots(c.type_name)]
+        else:
+            found = list((_a_roots if c.type_name[0] == "A" else _d_roots)(c.order, nv))
+        if len(found) != c.positive_root_count:
             raise InconsistentVerdict(
-                f"closure found {len(found)} roots on {c.type_name}, table says {want}"
+                f"found {len(found)} roots on {c.type_name}, table says {c.positive_root_count}"
             )
-        for x in found:
-            y = [0] * nv
-            for v, a in zip(c.vertices, x):
-                y[v] = a
-            roots.append(tuple(y))
-    return frozenset(roots)
+        roots += found
+    return roots
+
+
+def _runs(y, vertices):
+    """Set y[v] = 1 for each v of `vertices` in turn, yielding y after each."""
+    for v in vertices:
+        y[v] = 1
+        yield tuple(y)
+
+
+def _a_roots(order, nv):
+    """A_n: the indicator vectors of the intervals of the path `order`
+    (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plate I)."""
+    for i in range(len(order)):
+        yield from _runs([0] * nv, order[i:])
+
+
+def _d_roots(order, nv):
+    """D_n (plate IV): the indicator vectors of the connected subgraphs, and
+    a_i + ... + a_(j-1) + 2(a_j + ... + a_(n-2)) + a_(n-1) + a_n, i < j <= n-2."""
+    *chain, a, b = order  # chain ends at the branch vertex, a and b its leaves
+    yield from _a_roots((*chain, a), nv)  # without b
+    yield from _runs([0] * nv, (b, *chain[::-1]))  # with b, without a
+    y = [0] * nv
+    y[a] = y[b] = 1
+    for j in reversed(range(len(chain))):  # with both, and 2s on chain[j + 1:]
+        yield from _runs(y.copy(), chain[j::-1])
+        y[chain[j]] = 2
+
+
+@cache
+def _e_roots(name) -> tuple:
+    """The positive roots of E6, E7 or E8 in arm order, closed from the simple
+    roots under the reflections that raise an entry."""
+    n = int(name[1:])
+    edges = [(i, i + 1) for i in range(n - 4)] + [(n - 4, n - 3), (n - 4, n - 2), (n - 2, n - 1)]
+    nbrs = [[u + v - i for u, v in edges if i in (u, v)] for i in range(n)]
+    found, frontier = set(), [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    while frontier:
+        x = frontier.pop()
+        if x not in found:
+            found.add(x)
+            raised = ((i, sum(x[j] for j in around) - x[i]) for i, around in enumerate(nbrs))
+            frontier += [x[:i] + (y,) + x[i + 1:] for i, y in raised if y > x[i]]
+    return tuple(found)
+
+
+def _embedded(order, x, nv) -> tuple:
+    y = [0] * nv
+    for v, a in zip(order, x):
+        y[v] = a
+    return tuple(y)
 
 
 def fold_root(U, root: tuple) -> tuple:
     """Fold an unfolded positive root back to a dimension vector: the module
     coefficient at quiver vertex v collects the root entries over (v, L)."""
-    nm = len(U.mnames)
-    return tuple(root[v * nm:(v + 1) * nm] for v in range(len(U.qvertices)))
+    return tuple(zip(*[iter(root)] * len(U.mnames)))
 
 
 def unfold_coords(x) -> tuple:
@@ -245,4 +270,5 @@ def enumerate_indecomposables(Q: FusionQuiver, M: ModuleCategory | None = None):
     verdict = _cross_checked(Q, U)
     if not verdict.finite:
         raise InfiniteType("quiver is of infinite representation type")
-    return sorted(fold_root(U, r) for r in _roots(U, verdict.unfolded))
+    # a root's entries run vertex-major, so sorting roots sorts their folds
+    return [fold_root(U, r) for r in sorted(_roots(U, verdict.unfolded))]

@@ -17,6 +17,7 @@ from fqk import (
     catalog_kind,
     builtin,
     fpdim,
+    mckay_quiver,
     multiply,
     regular_module,
     validate,
@@ -439,6 +440,14 @@ class TestCLI:
         assert len(data["vertices"]) == 4
         assert len(data["arrows"]) == 3
 
+    def test_mckay_coefficient_label(self, capsys):
+        """A coefficient vector is a label, as in quiver files."""
+        argv = ["mckay", "--builtin", "rep_s3", "--label", "[0, 1, 1]", "--format", "json"]
+        assert cli.main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        q = mckay_quiver(regular_module(catalog.rep_s3()), (0, 1, 1))
+        assert data["arrows"] == [[q.vertices[s], q.vertices[t], m] for s, t, m in q.arrows]
+
     def test_qnum_free(self, capsys):
         assert cli.main(["qnum", "--free", "--upto", "4"]) == 0
         out = capsys.readouterr().out
@@ -550,10 +559,15 @@ class TestCLI:
             (["mckay", "--builtin", "fibonacci", "--label", '{"m":1}'], 2),
             (["mckay", "--builtin", "fibonacci", "--label", '{"matrix": [[1]]}'], 1),
             (["mckay", "--builtin", "fibonacci", "--label", '{"matrix": [[1,0,0],[0,1,0],[0,0,1]]}'], 1),
+            (["mckay", "--builtin", "rep_s3", "--label", "[0, 1"], 2),
+            (["mckay", "--builtin", "rep_s3", "--label", '[0, "x", 1]'], 2),
+            (["mckay", "--builtin", "rep_s3", "--label", "[0, 1]"], 2),
+            (["mckay", "--builtin", "rep_s3", "--label", "[0, -1, 1]"], 1),
         ],
         ids=["unknown_key", "missing_param", "extra_param", "bad_param", "no_object",
              "bad_object", "unknown_label", "bad_json_label", "label_without_matrix",
-             "label_1x1", "label_3x3"],
+             "label_1x1", "label_3x3", "bad_json_list", "list_not_ints", "list_too_short",
+             "list_negative"],
     )
     def test_malformed_argument_one_line_error(self, capsys, argv, code):
         assert cli.main(argv) == code

@@ -1,8 +1,9 @@
-"""The per-component root closure and the resolved-once reflection against
-the global-coordinate closure and the per-edge reflection in `oracles.py`;
-the main path against the reflection oracles on random labels and quivers."""
+"""The per-type root tables and the resolved-once reflection against the
+global-coordinate closure and the per-edge reflection in `oracles.py`; the
+main path against the reflection oracles on random labels and quivers."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fqk import (
     Edge,
     FusionQuiver,
+    InconsistentVerdict,
     InfiniteComponent,
     catalog,
     components,
@@ -27,7 +29,7 @@ from fqk import (
 from fqk.io import quiver_from_dict, quiver_to_dict
 from fqk.module import OrdinaryQuiver
 from fqk.reflect import ROOT_ENTRY_MAX
-from fqk.unfold import ADE_ROOT_COUNTS
+from fqk.unfold import ADE_ROOT_COUNTS, _a_roots, _d_roots, _e_roots, _embedded, fold_root
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS
 from oracles import edge_reflect_dimvec, global_positive_roots
@@ -40,12 +42,15 @@ ADE_TYPES = (
 
 
 def dynkin_edges(name):
-    """Edges of the Dynkin diagram on range(n): a path, with the last vertex
-    moved to hang off vertex n-3 (type D) or vertex 2 (type E)."""
+    """Edges of the Dynkin diagram on range(n) in Bourbaki's labelling: a
+    path, with the last vertex moved to hang off vertex n-3 (type D); for
+    type E, the path 0, 2, 3, ..., n-1 with vertex 1 hanging off vertex 3."""
     n = int(name[1:])
     if name[0] == "A":
         return [(i, i + 1) for i in range(n - 1)]
-    return [(i, i + 1) for i in range(n - 2)] + [(n - 3 if name[0] == "D" else 2, n - 1)]
+    if name[0] == "D":
+        return [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    return [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
 
 
 def table_count(name):
@@ -71,6 +76,14 @@ def ade_unions(draw):
     return OrdinaryQuiver(vertices=tuple(f"v{k}" for k in range(nv)), arrows=arrows), names
 
 
+def unit_chain(n, ring=None):
+    """The path 0 -> 1 -> ... -> n-1 with every edge labeled by the unit of
+    `ring` (Fibonacci by default): its unfolding is one An per simple."""
+    ring = ring or catalog.fibonacci()
+    unit = ring.basis(ring.names[0])
+    return FusionQuiver(tuple(range(n)), tuple(Edge(i, i + 1, unit) for i in range(n - 1)), ring=ring)
+
+
 class TestRootClosure:
     @PROPERTY
     @given(ade_unions())
@@ -90,6 +103,50 @@ class TestRootClosure:
         top = max(c for root in positive_roots_simply_laced(q) for c in root)
         assert top <= ROOT_ENTRY_MAX
         assert (top == ROOT_ENTRY_MAX) == (name == "E8")
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8"],
+    )
+    def test_tables_match_global_closure(self, name):
+        """A and D roots listed in Bourbaki's labelling, and the E table
+        embedded by the arm order the recognizer finds there."""
+        n = int(name[1:])
+        arrows = tuple((u, v, 1) for u, v in dynkin_edges(name))
+        if name[0] == "E":
+            (c,) = components(OrdinaryQuiver(tuple(range(n)), arrows)).components
+            roots = [_embedded(c.order, x, n) for x in _e_roots(name)]
+        else:
+            roots = list((_a_roots if name[0] == "A" else _d_roots)(tuple(range(n)), n))
+        assert len(roots) == table_count(name)
+        assert set(roots) == global_positive_roots(n, arrows)
+
+    @pytest.mark.parametrize("table, name", [("_a_roots", "A5"), ("_d_roots", "D6"), ("_e_roots", "E8")])
+    def test_short_table_fails_count_check(self, monkeypatch, table, name):
+        unfold_module = sys.modules["fqk.unfold"]
+        real = getattr(unfold_module, table)
+        monkeypatch.setattr(unfold_module, table, lambda *args: list(real(*args))[1:])
+        n = int(name[1:])
+        q = OrdinaryQuiver(tuple(range(n)), tuple((u, v, 1) for u, v in dynkin_edges(name)))
+        with pytest.raises(InconsistentVerdict, match=f"table says {table_count(name)}"):
+            positive_roots_simply_laced(q)
+
+    def test_long_unit_chain(self):
+        U = unfold(unit_chain(60))
+        roots = positive_roots_simply_laced(U)
+        assert len(roots) == 3660
+        assert roots == global_positive_roots(U.nv, U.arrows)
+        Q = unit_chain(12)
+        assert enumerate_indecomposables(Q) == enumerate_by_closure(Q)
+
+    @pytest.mark.parametrize("Q", [unit_chain(5, catalog.vect()), catalog.fib_h4_quiver(),
+                                   catalog.sl3at5_x_quiver()], ids=["nm1", "fib_h4", "sl3at5"])
+    def test_fold_root_slices_vertex_major(self, Q):
+        U = unfold(Q)
+        nm = len(U.mnames)
+        for root in positive_roots_simply_laced(U):
+            want = tuple(root[v * nm:(v + 1) * nm] for v in range(len(U.qvertices)))
+            assert fold_root(U, root) == want
 
     @pytest.mark.parametrize("name", FINITE_QUIVERS)
     def test_finite_builtin_unfoldings(self, name):

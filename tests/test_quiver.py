@@ -26,7 +26,7 @@ from fqk import (
     regular_module,
     unfold,
 )
-from fqk.quiver import CoxeterGraph, _label_order
+from fqk.quiver import CoxeterGraph, _label_order, _posdef
 from fqk.ring import INFINITY, angle_label, fpdim
 
 from conftest import BUILTIN_QUIVERS
@@ -341,26 +341,6 @@ class TestClassifier:
         assert comp.coxeter_number == h
 
     def test_affine_and_minimal_infinite_extensions(self):
-        def cycle(n):
-            return CoxeterGraph(
-                vertices=tuple(str(i) for i in range(n)),
-                edges=tuple((i, (i + 1) % n, 3) for i in range(n)),
-            )
-
-        def star(arms):
-            nv = 1 + sum(arms)
-            edges = []
-            nxt = 1
-            for a in arms:
-                prev = 0
-                for _ in range(a):
-                    edges.append((prev, nxt, 3))
-                    prev = nxt
-                    nxt += 1
-            return CoxeterGraph(
-                vertices=tuple(str(i) for i in range(nv)), edges=tuple(edges)
-            )
-
         infinite_graphs = [
             cycle(n + 1) for n in range(2, 10)  # extensions of A_n
         ] + [
@@ -395,6 +375,63 @@ class TestClassifier:
                 vertices=tuple(str(i) for i in range(n)), edges=tuple(edges)
             )
             classify_coxeter(g)  # must not raise
+
+
+def gram(graph):
+    """The symmetric form of a Coxeter graph: 2 on the diagonal, -2cos(pi/m)
+    at each edge."""
+    n = len(graph.vertices)
+    g = [[2.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for u, v, m in graph.edges:
+        g[u][v] = g[v][u] = -2 * math.cos(math.pi / m)
+    return g
+
+
+def cycle(n):
+    return CoxeterGraph(
+        vertices=tuple(str(i) for i in range(n)),
+        edges=tuple((i, (i + 1) % n, 3) for i in range(n)),
+    )
+
+
+def star(arms):
+    """A centre 0 with paths of the given lengths hanging off it."""
+    edges, nxt = [], 1
+    for a in arms:
+        prev = 0
+        for _ in range(a):
+            edges.append((prev, nxt, 3))
+            prev, nxt = nxt, nxt + 1
+    return CoxeterGraph(vertices=tuple(str(i) for i in range(nxt)), edges=tuple(edges))
+
+
+def affine_d(n):
+    """D~n on n + 1 vertices: a path of n - 1 with a leaf at each inner end."""
+    edges = [(i, i + 1, 3) for i in range(n - 2)] + [(1, n - 1, 3), (n - 3, n, 3)]
+    return CoxeterGraph(vertices=tuple(str(i) for i in range(n + 1)), edges=tuple(edges))
+
+
+class TestPosdef:
+    """The one-pass Cholesky (LDL^T) test: an affine graph's last pivot is 0
+    up to rounding, and the smallest finite pivot (I2(1000)) is about 2e-5."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [cycle(n + 1) for n in range(2, 8)] + [affine_d(n) for n in range(4, 9)]
+        + [star([2, 2, 2]), star([1, 3, 3]), star([1, 2, 5])],
+        ids=[f"A~{n}" for n in range(2, 8)] + [f"D~{n}" for n in range(4, 9)] + ["E~6", "E~7", "E~8"],
+    )
+    def test_affine_not_positive_definite(self, graph):
+        assert not _posdef(gram(graph))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph([3] * 199), branched_graph(8, 2), path_graph([5, 3, 3]), path_graph([3, 4, 3])]
+        + [path_graph([m]) for m in (3, 5, 7, 12, 100, 1000)],
+        ids=["A200", "E8", "H4", "F4"] + [f"I2({m})" for m in (3, 5, 7, 12, 100, 1000)],
+    )
+    def test_finite_positive_definite(self, graph):
+        assert _posdef(gram(graph))
 
 
 class TestSinkOrdering:
