@@ -41,7 +41,8 @@ from .module import (
     validate_module,
 )
 from .quiver import (
-    CoxeterClassification,
+    Classification,
+    Component,
     CoxeterGraph,
     Edge,
     FusionQuiver,
@@ -54,7 +55,6 @@ from .quiver import (
     reflect_quiver,
 )
 from .unfold import (
-    ComponentReport,
     FiniteTypeVerdict,
     UnfoldedQuiver,
     components,

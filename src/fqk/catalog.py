@@ -137,31 +137,15 @@ def verlinde_typeD(level: int) -> ModuleCategory:
         raise OutOfRange("type-D module needs an even level >= 2")
     ring = verlinde_sl2(level)
     half = level // 2
-    n = half + 2
-    p, m = half, half + 1  # indices of L+, L-
     mnames = tuple(f"L{i}" for i in range(half)) + ("L+", "L-")
-
-    act1 = np.zeros((n, n), dtype=object)
-
-    def put(col, rows):
-        for row in rows:
-            act1[row][col] = 1
-
-    if half == 1:
-        put(0, (p, m))
-    else:
-        put(0, (1,))
-        for i in range(1, half - 1):
-            put(i, (i - 1, i + 1))
-        put(half - 1, (half - 2, p, m))
-    put(p, (half - 1,))
-    put(m, (half - 1,))
-
-    acts = [np.eye(n, dtype=object), act1]
-    for i in range(1, level):
-        acts.append(acts[1].dot(acts[i]) - acts[i - 1])
-    act = tuple(tuple(tuple(int(x) for x in row) for row in a) for a in acts)
-    return _checked_module(ring, mnames, act)
+    # V1 acts by the adjacency matrix G of D_(half+2), and V_(j+1) = V1 V_j - V_(j-1)
+    G = np.zeros((half + 2, half + 2), dtype=object)
+    for u, v in [(i, i + 1) for i in range(half - 1)] + [(half - 1, half), (half - 1, half + 1)]:
+        G[u, v] = G[v, u] = 1
+    acts = [np.eye(half + 2, dtype=object), G]
+    for j in range(1, level):
+        acts.append(G.dot(acts[j]) - acts[j - 1])
+    return _checked_module(ring, mnames, [a.tolist() for a in acts])
 
 
 SL3AT5_NAMES = ("1", "X", "Y", "L20", "L11", "L02")

@@ -212,16 +212,8 @@ def cmd_enumerate(args) -> int:
     mnames = Q.module_names()
 
     def pretty(x):
-        parts = []
-        for v, coeff in enumerate(x):
-            terms = "+".join(
-                (nm if c == 1 else f"{c}*{nm}")
-                for nm, c in zip(mnames, coeff)
-                if c
-            )
-            if terms:
-                parts.append(f"[{terms}]a_{Q.vertices[v]}")
-        return " + ".join(parts)
+        terms = ((v, fio.terms_text(mnames, a)) for v, a in zip(Q.vertices, x))
+        return " + ".join(f"[{t}]a_{v}" for v, t in terms if t)
 
     _emit(
         args,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .module import ActionLabel, ModuleCategory
 from .quiver import CoxeterGraph, Edge, FusionQuiver
-from .ring import FusionRing, fmt_m
+from .ring import FusionRing, as_int, fmt_m
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def label_from_json(ring: FusionRing | None, spec):
         if spec not in ring.names:
             raise ValueError(f"unknown label {spec!r}")
         return ring.basis(spec)
-    return tuple(int(c) for c in spec)
+    return tuple(map(as_int, spec))
 
 
 def quiver_to_dict(Q: FusionQuiver) -> dict:
@@ -109,7 +109,7 @@ def quiver_from_dict(d: dict, base: Path | None = None) -> FusionQuiver:
         if ring is None:
             ring = module.ring
     edges = tuple(
-        Edge(int(e["from"]), int(e["to"]), label_from_json(ring, e["label"]))
+        Edge(as_int(e["from"]), as_int(e["to"]), label_from_json(ring, e["label"]))
         for e in d["edges"]
     )
     mnames = _names(d["mnames"]) if "mnames" in d else None
@@ -149,16 +149,16 @@ def _q(s) -> str:
     return '"' + str(s).replace('"', '\\"') + '"'
 
 
+def terms_text(names, coeffs) -> str:
+    """The non-zero terms of a combination of `names`, each "name" or
+    "c*name", joined by "+"; "" when every coefficient is zero."""
+    return "+".join(nm if c == 1 else f"{c}*{nm}" for nm, c in zip(names, coeffs) if c)
+
+
 def label_pretty(Q: FusionQuiver, label) -> str:
     if isinstance(label, ActionLabel):
         return "matrix"
-    parts = []
-    for name, c in zip(Q.ring.names, label):
-        if c == 1:
-            parts.append(name)
-        elif c:
-            parts.append(f"{c}*{name}")
-    return "+".join(parts) if parts else "0"
+    return terms_text(Q.ring.names, label) or "0"
 
 
 def _dot(head: str, arrow: str, nodes, edges) -> str:

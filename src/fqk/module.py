@@ -17,6 +17,7 @@ from .ring import (
     FusionRing,
     RingElement,
     ValidationReport,
+    as_int,
     combination,
     exact_array,
     perron_eigenpair,
@@ -45,7 +46,7 @@ class ActionLabel:
     @classmethod
     def from_rows(cls, rows, fpdim_override=None):
         return cls(
-            matrix=tuple(tuple(int(x) for x in row) for row in rows),
+            matrix=tuple(tuple(map(as_int, row)) for row in rows),
             fpdim_override=fpdim_override,
         )
 
@@ -69,9 +70,7 @@ class ModuleCategory:
 
     @classmethod
     def from_data(cls, ring, mnames, act):
-        act = tuple(
-            tuple(tuple(int(x) for x in row) for row in mat) for mat in act
-        )
+        act = tuple(tuple(tuple(map(as_int, row)) for row in mat) for mat in act)
         return cls(ring=ring, mnames=tuple(mnames), act=act)
 
     @property

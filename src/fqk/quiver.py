@@ -214,10 +214,7 @@ def _label_order(rows):
     every component is A/D/E of Coxeter number h. INFINITY when none is; by
     Perron-Frobenius an action has one or the other, so a mix is rejected."""
     n = len(rows)
-    hs = {
-        INFINITY if named is None else named[1]
-        for _, _, named in simply_laced_components(2 * n, action_arrows(rows, 0, n))
-    }
+    hs = {c.coxeter_number for c in simply_laced_components(2 * n, action_arrows(rows, 0, n))}
     if len(hs) != 1:
         raise OutOfRange(f"a label's unfolding mixes Coxeter numbers {sorted(hs)}")
     return hs.pop()
@@ -252,16 +249,26 @@ def coxeter_graph(G) -> CoxeterGraph:
 
 
 @dataclass(frozen=True)
-class ComponentClass:
+class Component:
+    """A connected component of Gamma or of an unfolding: its finite Coxeter
+    type, or "infinite". A finite irreducible type of Coxeter number h on n
+    vertices has n*h/2 positive roots (Humphreys, Reflection Groups and
+    Coxeter Groups, 1990, 3.18)."""
+
     vertices: tuple  # vertex indices, sorted
     type_name: str  # e.g. "A4", "I2(5)", "infinite"
-    finite: bool
-    coxeter_number: object  # int or inf
+    coxeter_number: object  # int or INFINITY
+    positive_root_count: object  # int or INFINITY
+    order: tuple = ()  # the vertices in arm order (_coxeter_pattern); () when infinite
+
+    @property
+    def finite(self) -> bool:
+        return self.coxeter_number != INFINITY
 
 
 @dataclass(frozen=True)
-class CoxeterClassification:
-    components: tuple  # of ComponentClass
+class Classification:
+    components: tuple  # of Component
 
     @property
     def finite(self) -> bool:
@@ -269,6 +276,9 @@ class CoxeterClassification:
 
     def type_names(self) -> tuple:
         return tuple(c.type_name for c in self.components)
+
+    def total_root_count(self):
+        return sum(c.positive_root_count for c in self.components)
 
 
 def _posdef(gram) -> bool:
@@ -361,23 +371,31 @@ def _coxeter_pattern(comp, edges):
     return None
 
 
+def _component(comp, edges) -> Component:
+    """The Component on the sorted vertex tuple `comp` with the (u, v, m)
+    Coxeter-graph `edges`, named by _coxeter_pattern."""
+    named = _coxeter_pattern(comp, edges)
+    if named is None:
+        return Component(comp, "infinite", INFINITY, INFINITY)
+    name, h, order = named
+    return Component(comp, name, h, len(comp) * h // 2, order)
+
+
 def simply_laced_components(n, arrows):
-    """The connected components of the undirected multigraph on range(n) with
-    the (s, t, multiplicity) arrows, multiplicities summed over each unordered
-    pair, in order of their least vertex: triples of the sorted vertex tuple,
-    whether the component is simple (no loop, no multiple edge) and, for a
-    simple one, its A/D/E name, Coxeter number and arm order, else None."""
+    """The Components of the undirected multigraph on range(n) with the
+    (s, t, multiplicity) arrows, multiplicities summed over each unordered
+    pair, in order of their least vertex. As a Coxeter graph a single edge
+    has m = 3 and a multiple one m = INFINITY, so a component with a loop or
+    a multiple edge is infinite."""
     acc = {}
     for s, t, m in arrows:
         key = (min(s, t), max(s, t))
         acc[key] = acc.get(key, 0) + m
     for comp, sub in _graph_components(n, [(u, v, m) for (u, v), m in acc.items()]):
-        simple = all(m == 1 and u != v for u, v, m in sub)
-        named = _coxeter_pattern(comp, [(u, v, 3) for u, v, _ in sub]) if simple else None
-        yield comp, simple, named
+        yield _component(comp, [(u, v, 3 if m == 1 else INFINITY) for u, v, m in sub])
 
 
-def classify_coxeter(G) -> CoxeterClassification:
+def classify_coxeter(G) -> Classification:
     """Classify each connected component of a Coxeter graph (or labeled
     graph) as a named finite type or infinite, cross-checking the pattern
     match against positive definiteness of the associated symmetric form."""
@@ -391,18 +409,13 @@ def classify_coxeter(G) -> CoxeterClassification:
             f = 2.0 if m == INFINITY else 2 * math.cos(math.pi / m)
             gram[idx[u]][idx[v]] -= f
             gram[idx[v]][idx[u]] -= f
-        pd = _posdef(gram)
-        named = _coxeter_pattern(comp, sub)
-        if (named is not None) != pd:
+        c = _component(comp, sub)
+        if c.finite != _posdef(gram):
             raise InconsistentVerdict(
                 f"pattern match and positive definiteness disagree on {comp}"
             )
-        if named is None:
-            out.append(ComponentClass(comp, "infinite", False, INFINITY))
-        else:
-            name, h, _ = named
-            out.append(ComponentClass(comp, name, True, h))
-    return CoxeterClassification(components=tuple(out))
+        out.append(c)
+    return Classification(components=tuple(out))
 
 
 def admissible_sink_ordering(Q: FusionQuiver):

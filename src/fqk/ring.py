@@ -9,6 +9,7 @@ Elements are plain integer coefficient tuples over the simple basis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,6 +46,17 @@ class ValidationReport:
         lines = [f"violation: {v}" for v in self.violations]
         lines += [f"warning: {w}" for w in self.warnings]
         return "\n".join(lines)
+
+
+def as_int(x) -> int:
+    """x as an int: a Python or numpy integer, never a bool, a float or a
+    string, so a number read from outside is not rounded on the way in."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{x!r} is not an integer") from None
 
 
 def _derive_dual(names, unit, N):
@@ -108,11 +120,11 @@ class FusionRing:
 
     @classmethod
     def from_data(cls, names, unit, N, dual=None):
-        names = tuple(names)
-        N = tuple(tuple(tuple(int(x) for x in row) for row in mat) for mat in N)
+        names, unit = tuple(names), as_int(unit)
+        N = tuple(tuple(tuple(map(as_int, row)) for row in mat) for mat in N)
         if dual is None:
             dual = _derive_dual(names, unit, N)
-        return cls(names=names, unit=unit, N=N, dual=tuple(dual))
+        return cls(names=names, unit=unit, N=N, dual=tuple(map(as_int, dual)))
 
     @property
     def rank(self) -> int:

@@ -11,14 +11,14 @@ from functools import cache
 from .errors import InconsistentVerdict, InfiniteComponent, InfiniteType
 from .module import ModuleCategory, action_arrows
 from .quiver import (
-    CoxeterClassification,
+    Classification,
     FusionQuiver,
     _with_module,
     classify_coxeter,
     coxeter_graph,
     simply_laced_components,
 )
-from .ring import INFINITY, fmt_m
+from .ring import fmt_m
 
 ROOT_CLOSURE_CAP = 10**6
 
@@ -68,54 +68,17 @@ def unfold(Q: FusionQuiver, M: ModuleCategory | None = None) -> UnfoldedQuiver:
     )
 
 
-@dataclass(frozen=True)
-class UnfoldedComponent:
-    vertices: tuple  # sorted unfolded-vertex indices
-    simply_laced: bool
-    type_name: str  # "A4", "D5", "E8", or "infinite"
-    finite: bool
-    coxeter_number: object  # int or inf
-    positive_root_count: object  # int or inf
-    order: tuple = ()  # the vertices in arm order (quiver._coxeter_pattern); () when infinite
-
-
-@dataclass(frozen=True)
-class ComponentReport:
-    components: tuple  # of UnfoldedComponent
-
-    @property
-    def finite(self) -> bool:
-        return all(c.finite for c in self.components)
-
-    def type_names(self) -> tuple:
-        return tuple(c.type_name for c in self.components)
-
-    def total_root_count(self):
-        if not self.finite:
-            return INFINITY
-        return sum(c.positive_root_count for c in self.components)
-
-
-def components(U) -> ComponentReport:
-    """Connected components of the underlying undirected multigraph of an
-    unfolded or ordinary quiver, each recognized as a finite ADE type (path /
-    branched-tree arm analysis) or reported infinite."""
-    out = []
-    for comp, simple, named in simply_laced_components(len(U.vertices), U.arrows):
-        if named is None:
-            out.append(UnfoldedComponent(comp, simple, "infinite", False, INFINITY, INFINITY))
-            continue
-        name, h, order = named
-        roots = ADE_ROOT_COUNTS[name[0]](len(comp)) if name[0] in "AD" else ADE_ROOT_COUNTS[name]
-        out.append(UnfoldedComponent(comp, True, name, True, h, roots, order))
-    return ComponentReport(components=tuple(out))
+def components(U) -> Classification:
+    """The A/D/E or infinite components of the underlying undirected
+    multigraph of an unfolded or ordinary quiver."""
+    return Classification(tuple(simply_laced_components(len(U.vertices), U.arrows)))
 
 
 @dataclass(frozen=True)
 class FiniteTypeVerdict:
     finite: bool
-    gamma: CoxeterClassification  # the same for every module, by Perron-Frobenius
-    unfolded: ComponentReport
+    gamma: Classification  # the same for every module, by Perron-Frobenius
+    unfolded: Classification
 
     def __str__(self) -> str:
         """The line `fqk classify` prints."""
@@ -179,8 +142,8 @@ def positive_roots_simply_laced(U) -> frozenset:
     return frozenset(_roots(U, components(U)))
 
 
-def _roots(U, rep: ComponentReport) -> list:
-    """positive_roots_simply_laced on the component report rep of U, as a list."""
+def _roots(U, rep: Classification) -> list:
+    """positive_roots_simply_laced on the classification rep of U, as a list."""
     if not rep.finite:
         raise InfiniteComponent("some component is not finite ADE")
     if rep.total_root_count() > ROOT_CLOSURE_CAP:
@@ -188,13 +151,17 @@ def _roots(U, rep: ComponentReport) -> list:
     nv = len(U.vertices)
     roots = []
     for c in rep.components:
-        if c.type_name[0] == "E":
-            found = [_embedded(c.order, x, nv) for x in _e_roots(c.type_name)]
+        name = c.type_name
+        if name[0] == "E":
+            found = [_embedded(c.order, x, nv) for x in _e_roots(name)]
+            table = ADE_ROOT_COUNTS[name]
         else:
-            found = list((_a_roots if c.type_name[0] == "A" else _d_roots)(c.order, nv))
-        if len(found) != c.positive_root_count:
+            found = list((_a_roots if name[0] == "A" else _d_roots)(c.order, nv))
+            table = ADE_ROOT_COUNTS[name[0]](len(c.vertices))
+        if not len(found) == table == c.positive_root_count:
             raise InconsistentVerdict(
-                f"found {len(found)} roots on {c.type_name}, table says {c.positive_root_count}"
+                f"found {len(found)} roots on {name}, table says {table}, "
+                f"n*h/2 = {c.positive_root_count}"
             )
         roots += found
     return roots

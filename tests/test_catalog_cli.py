@@ -519,7 +519,7 @@ class TestCLI:
     @pytest.mark.parametrize(
         "argv, edit, code",
         [
-            (["validate", "--ring"], lambda d: d.update(dual=[None, 1]), 1),
+            (["validate", "--ring"], lambda d: d.update(dual=[None, 1]), 2),
             (["enumerate", "--builtin", "verlinde_l4_quiver", "--module"],
              lambda d: d.update(mnames=[0, 1, 2, 3]), 2),
             (["validate", "--module"], lambda d: d["ring"].update(N=[[[1]]] * 5), 1),
@@ -527,14 +527,25 @@ class TestCLI:
             (["classify", "--quiver"],
              lambda d: d["edges"][0].update(label={"matrix": [[1]], "fpdim": "x"}), 2),
             (["fpdim", "--ring"], lambda d: "[" * 100_000 + "]" * 100_000, 2),
+            (["validate", "--ring"], lambda d: d["N"][1][1].__setitem__(1, 1.9), 2),
+            (["validate", "--ring"], lambda d: d["N"][1][1].__setitem__(1, True), 2),
+            (["validate", "--ring"], lambda d: d.update(unit=0.0), 2),
+            (["validate", "--ring"], lambda d: d.update(dual=[0, 1.0]), 2),
+            (["validate", "--module"], lambda d: d["act"][0][0].__setitem__(0, 1.0), 2),
+            (["enumerate", "--quiver"], lambda d: d["edges"][0].update(label=[1.5, 0, 0, 0, 0]), 2),
+            (["classify", "--quiver"], lambda d: d["edges"][0].update(label={"matrix": [[1.7]]}), 2),
+            (["classify", "--quiver"], lambda d: d["edges"][0].__setitem__("from", 0.0), 2),
         ],
         ids=["dual_entry", "module_names", "module_ring_shape", "quiver_module_actions",
-             "label_fpdim", "nested_too_deep"],
+             "label_fpdim", "nested_too_deep", "ring_float_entry", "ring_bool_entry",
+             "ring_float_unit", "dual_float_entry", "module_float_entry", "label_float_coefficient",
+             "label_float_matrix_entry", "edge_float_endpoint"],
     )
     def test_malformed_file_one_line_error(self, tmp_path, capsys, argv, edit, code):
-        """Names that are not strings and a label's FP dimension that is not
-        a number are usage errors; the validators and the quiver report the
-        rest. An `edit` that returns text replaces the whole file."""
+        """Names that are not strings, numbers that are not integers and a
+        label's FP dimension that is not a number are usage errors; the
+        validators and the quiver report the rest. An `edit` that returns
+        text replaces the whole file."""
         data = {"--ring": ring_to_dict(catalog.fibonacci()),
                 "--module": module_to_dict(catalog.verlinde_typeD(4)),
                 "--quiver": quiver_to_dict(catalog.verlinde_l4_typeD_quiver())}[argv[-1]]
@@ -563,11 +574,14 @@ class TestCLI:
             (["mckay", "--builtin", "rep_s3", "--label", '[0, "x", 1]'], 2),
             (["mckay", "--builtin", "rep_s3", "--label", "[0, 1]"], 2),
             (["mckay", "--builtin", "rep_s3", "--label", "[0, -1, 1]"], 1),
+            (["mckay", "--builtin", "rep_s3", "--label", "[1.5, 0, 0]"], 2),
+            (["mckay", "--builtin", "rep_s3", "--label", "[true, 0, 0]"], 2),
+            (["mckay", "--builtin", "rep_s3", "--label", '{"matrix": [[1.0, 0], [0, 1]]}'], 2),
         ],
         ids=["unknown_key", "missing_param", "extra_param", "bad_param", "no_object",
              "bad_object", "unknown_label", "bad_json_label", "label_without_matrix",
              "label_1x1", "label_3x3", "bad_json_list", "list_not_ints", "list_too_short",
-             "list_negative"],
+             "list_negative", "list_float", "list_bool", "matrix_float"],
     )
     def test_malformed_argument_one_line_error(self, capsys, argv, code):
         assert cli.main(argv) == code

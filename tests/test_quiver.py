@@ -309,36 +309,39 @@ class TestGammaFromActions:
         assert is_finite_type(Q).gamma.type_names() == ("I2(5)",)
 
 
+# (graph, type, Coxeter number, positive roots), the counts written out per
+# family rather than as n*h/2
 COXETER_TABLE = []
 for n in range(1, 10):
-    COXETER_TABLE.append((path_graph([3] * (n - 1)), f"A{n}", n + 1))
+    COXETER_TABLE.append((path_graph([3] * (n - 1)), f"A{n}", n + 1, n * (n + 1) // 2))
 for n in range(3, 10):
-    COXETER_TABLE.append((path_graph([4] + [3] * (n - 2)), f"B{n}", 2 * n))
+    COXETER_TABLE.append((path_graph([4] + [3] * (n - 2)), f"B{n}", 2 * n, n * n))
 for n in range(4, 10):
-    COXETER_TABLE.append((branched_graph(n, n - 3), f"D{n}", 2 * n - 2))
-COXETER_TABLE.append((branched_graph(6, 2), "E6", 12))
-COXETER_TABLE.append((branched_graph(7, 2), "E7", 18))
-COXETER_TABLE.append((branched_graph(8, 2), "E8", 30))
-COXETER_TABLE.append((path_graph([3, 4, 3]), "F4", 12))
-COXETER_TABLE.append((path_graph([6]), "G2", 6))
-COXETER_TABLE.append((path_graph([5, 3]), "H3", 10))
-COXETER_TABLE.append((path_graph([5, 3, 3]), "H4", 30))
+    COXETER_TABLE.append((branched_graph(n, n - 3), f"D{n}", 2 * n - 2, n * (n - 1)))
+COXETER_TABLE.append((branched_graph(6, 2), "E6", 12, 36))
+COXETER_TABLE.append((branched_graph(7, 2), "E7", 18, 63))
+COXETER_TABLE.append((branched_graph(8, 2), "E8", 30, 120))
+COXETER_TABLE.append((path_graph([3, 4, 3]), "F4", 12, 24))
+COXETER_TABLE.append((path_graph([6]), "G2", 6, 6))
+COXETER_TABLE.append((path_graph([5, 3]), "H3", 10, 15))
+COXETER_TABLE.append((path_graph([5, 3, 3]), "H4", 30, 60))
 for m in range(3, 13):
     name = {3: "A2", 4: "B2", 6: "G2"}.get(m, f"I2({m})")
-    COXETER_TABLE.append((path_graph([m]), name, m))
+    COXETER_TABLE.append((path_graph([m]), name, m, m))
 
 
 class TestClassifier:
     @pytest.mark.parametrize(
-        "graph,name,h", COXETER_TABLE, ids=[t[1] for t in COXETER_TABLE]
+        "graph,name,h,roots", COXETER_TABLE, ids=[t[1] for t in COXETER_TABLE]
     )
-    def test_finite_table(self, graph, name, h):
+    def test_finite_table(self, graph, name, h, roots):
         cls = classify_coxeter(graph)
         assert len(cls.components) == 1
         comp = cls.components[0]
         assert comp.finite
         assert comp.type_name == name
         assert comp.coxeter_number == h
+        assert comp.positive_root_count == roots
 
     def test_affine_and_minimal_infinite_extensions(self):
         infinite_graphs = [
@@ -358,7 +361,9 @@ class TestClassifier:
             path_graph([INFINITY]),
         ]
         for g in infinite_graphs:
-            assert not classify_coxeter(g).finite, g
+            cls = classify_coxeter(g)
+            assert not cls.finite, g
+            assert cls.total_root_count() == INFINITY, g
 
     def test_random_trees_two_deciders_agree(self):
         # classify_coxeter raises InconsistentVerdict if the pattern match

@@ -158,11 +158,10 @@ class TestComponents:
         assert rep.type_names() == ("infinite",)
         assert not rep.finite
 
-    def test_components_sorted_and_simply_laced_flag(self):
+    def test_components_sorted(self):
         rep = components(unfold(catalog.sl3at5_x_quiver()))
         starts = [c.vertices[0] for c in rep.components]
         assert starts == sorted(starts)
-        assert all(c.simply_laced for c in rep.components)
 
 
 class TestIsFiniteType:
