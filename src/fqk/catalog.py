@@ -32,24 +32,11 @@ def _checked_module(ring, mnames, act) -> ModuleCategory:
 def ring_from_character_table(names, group_order, class_sizes, chars) -> FusionRing:
     """Fusion ring of representations of a finite group with a real character
     table: N[i][j][k] = (1/|G|) sum over classes of size * chi_i chi_j chi_k."""
-    r = len(names)
-    N = []
-    for i in range(r):
-        mat = []
-        for j in range(r):
-            row = []
-            for k in range(r):
-                total = sum(
-                    sz * chars[i][c] * chars[j][c] * chars[k][c]
-                    for c, sz in enumerate(class_sizes)
-                )
-                q, rem = divmod(total, group_order)
-                if rem:
-                    raise ValueError("character table is not integral")
-                row.append(q)
-            mat.append(row)
-        N.append(mat)
-    return _checked_ring(names, 0, N)
+    X = np.array(chars, dtype=np.int64)
+    total = np.einsum("c,ic,jc,kc->ijk", np.array(class_sizes, dtype=np.int64), X, X, X)
+    if (total % group_order).any():
+        raise ValueError("character table is not integral")
+    return _checked_ring(names, 0, (total // group_order).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -103,49 +90,42 @@ def fibonacci() -> FusionRing:
     return _checked_ring(("1", "tau"), 0, N)
 
 
+def _sl2_actions(level: int, edges) -> list:
+    """U_0..U_level on the graph G with these edges: U_0 = I, U_1 = G and
+    U_(j+1) = G U_j - U_(j-1), the actions of V_0..V_level on a module over
+    the level-`level` sl2 ring whose V_1 acts by G's adjacency matrix."""
+    n = 1 + max(map(max, edges))
+    G = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        G[u, v] = G[v, u] = 1
+    U = [np.eye(n, dtype=np.int64), G]
+    for j in range(1, level):
+        U.append(G @ U[j] - U[j - 1])
+    return [u.tolist() for u in U]
+
+
 @lru_cache(maxsize=None)
 def verlinde_sl2(level: int) -> FusionRing:
-    """Truncated sl2 fusion at a given level: simples V_0..V_level with the
-    usual parity- and level-bounded Clebsch-Gordan rule."""
+    """Truncated sl2 fusion at a given level: simples V_0..V_level, V_j
+    acting on the regular module by U_j of the path A_(level+1). Each U_j is
+    symmetric, so N[i][j][k] = U_i[j][k]."""
     if level < 1:
         raise OutOfRange("level must be >= 1")
-    r = level + 1
-    names = tuple(f"V{i}" for i in range(r))
-    N = [
-        [
-            [
-                1
-                if (
-                    abs(i - j) <= k <= min(i + j, 2 * level - i - j)
-                    and (i + j + k) % 2 == 0
-                )
-                else 0
-                for k in range(r)
-            ]
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
-    return _checked_ring(names, 0, N)
+    names = tuple(f"V{i}" for i in range(level + 1))
+    return _checked_ring(names, 0, _sl2_actions(level, [(i, i + 1) for i in range(level)]))
 
 
 @lru_cache(maxsize=None)
 def verlinde_typeD(level: int) -> ModuleCategory:
     """The type-D module over the level-`level` sl2 ring (level even): a
-    half-length chain L_0..L_{level/2-1} ending in a fork L+, L-."""
+    half-length chain L_0..L_{level/2-1} ending in a fork L+, L-, on which
+    V1 acts by the adjacency matrix of D_(level/2+2)."""
     if level < 2 or level % 2:
         raise OutOfRange("type-D module needs an even level >= 2")
-    ring = verlinde_sl2(level)
     half = level // 2
     mnames = tuple(f"L{i}" for i in range(half)) + ("L+", "L-")
-    # V1 acts by the adjacency matrix G of D_(half+2), and V_(j+1) = V1 V_j - V_(j-1)
-    G = np.zeros((half + 2, half + 2), dtype=object)
-    for u, v in [(i, i + 1) for i in range(half - 1)] + [(half - 1, half), (half - 1, half + 1)]:
-        G[u, v] = G[v, u] = 1
-    acts = [np.eye(half + 2, dtype=object), G]
-    for j in range(1, level):
-        acts.append(G.dot(acts[j]) - acts[j - 1])
-    return _checked_module(ring, mnames, [a.tolist() for a in acts])
+    edges = [(i, i + 1) for i in range(half - 1)] + [(half - 1, half), (half - 1, half + 1)]
+    return _checked_module(verlinde_sl2(level), mnames, _sl2_actions(level, edges))
 
 
 SL3AT5_NAMES = ("1", "X", "Y", "L20", "L11", "L02")

@@ -57,10 +57,7 @@ def module_from_dict(d: dict, base: Path | None = None) -> ModuleCategory:
 
 def _label_to_json(Q: FusionQuiver, label):
     if isinstance(label, ActionLabel):
-        out = {"matrix": [list(row) for row in label.matrix]}
-        if label.fpdim_override is not None:
-            out["fpdim"] = label.fpdim_override
-        return out
+        return {"matrix": [list(row) for row in label.matrix]}
     if Q.ring is not None and sum(label) == 1 and all(c in (0, 1) for c in label):
         return Q.ring.names[label.index(1)]
     return list(label)
@@ -68,7 +65,10 @@ def _label_to_json(Q: FusionQuiver, label):
 
 def label_from_json(ring: FusionRing | None, spec):
     if isinstance(spec, dict):
-        return ActionLabel.from_rows(spec["matrix"], spec.get("fpdim"))
+        extra = sorted(spec.keys() - {"matrix"})
+        if extra:
+            raise ValueError(f"a matrix label takes only the key 'matrix', not {extra}")
+        return ActionLabel.from_rows(spec["matrix"])
     if isinstance(spec, str):
         if ring is None:
             raise ValueError("named label requires ring data")

@@ -31,33 +31,23 @@ ModuleElement = tuple  # tuple[int, ...] over Irr(M)
 @dataclass(frozen=True)
 class ActionLabel:
     """An edge label given only by its action matrix on Irr(M) (partial
-    mode), with an optional explicit FP dimension."""
+    mode); its FP dimension is the matrix's Perron eigenvalue."""
 
     matrix: tuple  # msize x msize nested tuples of non-negative ints
-    fpdim_override: float | None = None
 
     def __post_init__(self):
         n = len(self.matrix)
         if any(len(row) != n or min(row, default=0) < 0 for row in self.matrix):
             raise OutOfRange("an action label is a square non-negative matrix")
-        if not isinstance(self.fpdim_override, (int, float, type(None))):
-            raise TypeError(f"an action label's fpdim is a number, not {self.fpdim_override!r}")
 
     @classmethod
-    def from_rows(cls, rows, fpdim_override=None):
-        return cls(
-            matrix=tuple(tuple(map(as_int, row)) for row in rows),
-            fpdim_override=fpdim_override,
-        )
+    def from_rows(cls, rows):
+        return cls(tuple(tuple(map(as_int, row)) for row in rows))
 
     def transpose(self) -> "ActionLabel":
-        return ActionLabel(
-            matrix=tuple(zip(*self.matrix)), fpdim_override=self.fpdim_override
-        )
+        return ActionLabel(tuple(zip(*self.matrix)))
 
     def fpdim(self) -> float:
-        if self.fpdim_override is not None:
-            return self.fpdim_override
         lam, _ = perron_eigenpair(np.array(self.matrix, dtype=float))
         return lam
 

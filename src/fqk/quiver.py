@@ -25,7 +25,6 @@ from .ring import (
     TOL,
     angle_label,
     dual as ring_dual,
-    fmt_m,
     fpdim,
     fpdim_of,
 )
@@ -153,6 +152,11 @@ def label_fpdim(Q: FusionQuiver, label, fpv: FPVector | None = None) -> float:
     return fpdim_of(Q.ring, label, fpv)
 
 
+def _check_vertex(Q: FusionQuiver, v: int) -> None:
+    if not 0 <= v < Q.nv:
+        raise OutOfRange(f"vertex {v} outside 0..{Q.nv - 1}")
+
+
 def is_sink(Q: FusionQuiver, v: int) -> bool:
     return all(e.source != v for e in Q.edges)
 
@@ -164,6 +168,7 @@ def is_source(Q: FusionQuiver, v: int) -> bool:
 def reflect_quiver(Q: FusionQuiver, v: int) -> FusionQuiver:
     """Reverse all arrows abutting a sink or source vertex, replacing their
     labels by the dual class (matrix transpose in partial mode)."""
+    _check_vertex(Q, v)
     if any(e.source == v and e.target == v for e in Q.edges):
         raise NotReflectable(f"vertex {v} carries a loop")
     if not (is_sink(Q, v) or is_source(Q, v)):
@@ -224,20 +229,14 @@ def coxeter_graph(G) -> CoxeterGraph:
     """The graph Gamma of a quiver or a labeled graph: each edge of the
     underlying undirected graph weighted by the m with 2cos(pi/m) = FPdim of
     its label, m = 2 dropped. On a quiver, m is read from the integer action
-    summed over the vertex pair (A for u -> v, its transpose for v -> u), and
-    a pinned fpdim is checked against its own label's m; on a labeled graph,
-    m is read from the real label."""
+    summed over the vertex pair (A for u -> v, its transpose for v -> u);
+    on a labeled graph, m is read from the real label."""
     if isinstance(G, LabeledGraph):
         weighted = [(u, v, angle_label(f)) for u, v, f in G.edges]
     else:
         acc, order = {}, cache(_label_order)  # one call per distinct action
         for e, rows in zip(G.edges, G.edge_actions):
             rows = tuple(map(tuple, rows))
-            pin = getattr(e.label, "fpdim_override", None)
-            if pin is not None:
-                m = order(rows)
-                if pin < 2 - TOL if m == INFINITY else abs(pin - 2 * math.cos(math.pi / m)) >= TOL:
-                    raise OutOfRange(f"pinned fpdim {pin} does not fit m = {fmt_m(m)}")
             if e.source > e.target:
                 rows = tuple(zip(*rows))
             key = (min(e.source, e.target), max(e.source, e.target))

@@ -21,7 +21,7 @@ from .errors import (
     SignCoherenceViolation,
 )
 from .module import ActionLabel, ModuleCategory, act_on, sign_class
-from .quiver import Edge, FusionQuiver, _with_module, label_fpdim
+from .quiver import Edge, FusionQuiver, _check_vertex, _with_module, label_fpdim
 from .ring import (
     FusionRing,
     INFINITY,
@@ -127,13 +127,25 @@ def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tupl
     """Simple reflection at vertex v acting on a dimension vector: the
     coefficient at v becomes minus itself plus the (dual-)label actions on
     the neighboring coefficients; an involution."""
-    return _reflect(_vertex_actions(_with_module(Q, M)), v, tuple(x))
+    Q, x = _with_module(Q, M), tuple(x)
+    _check_vertex(Q, v)
+    msize = len(Q.module_names())
+    if len(x) != Q.nv or any(len(a) != msize for a in x):
+        raise OutOfRange(f"a dimension vector has {Q.nv} entries of {msize} coefficients each")
+    return _reflect(_vertex_actions(Q), v, x)
 
 
 # ---------------------------------------------------------------------------
 # two-colored quantum numbers
 
 D, DP = 0, 1  # the two non-commuting letters
+
+
+def _color(color: str) -> int:
+    """The letter a color names: "d" or "d'"."""
+    if color not in ("d", "d'"):
+        raise OutOfRange(f"a color is d or d', not {color!r}")
+    return DP if color == "d'" else D
 
 
 @dataclass(frozen=True)
@@ -218,17 +230,14 @@ def _qnum_free_pos(k: int, color: int) -> NCPolynomial:
         return NCPolynomial.zero()
     if k == 1:
         return NCPolynomial.one()
-    other = 1 - color
-    letter = NCPolynomial.letter(D if color == D else DP)
-    return letter * _qnum_free_pos(k - 1, other) - _qnum_free_pos(k - 2, color)
+    letter = NCPolynomial.letter(color)
+    return letter * _qnum_free_pos(k - 1, 1 - color) - _qnum_free_pos(k - 2, color)
 
 
 def qnum_free(k: int, color: str = "d") -> NCPolynomial:
     """The two-colored quantum number [k] as a free polynomial in d, d'."""
-    c = D if color == "d" else DP
-    if k < 0:
-        return -_qnum_free_pos(-k, c)
-    return _qnum_free_pos(k, c)
+    p = _qnum_free_pos(abs(k), _color(color))
+    return -p if k < 0 else p
 
 
 def _qnum_pair_sequence(ring: FusionRing, pi, K: int):
@@ -250,13 +259,11 @@ def _qnum_pair_sequence(ring: FusionRing, pi, K: int):
 
 def qnum_in_ring(ring: FusionRing, pi, k: int, color: str = "d"):
     """[k] specialized at d = pi, d' = dual(pi), by direct ring recursion."""
-    neg = k < 0
-    k = abs(k)
+    c = _color(color)
     if k == 0:
         return ring.zero()
-    a, b = _qnum_pair_sequence(ring, pi, k)[-1]
-    out = a if color == "d" else b
-    return tuple(-c for c in out) if neg else out
+    out = _qnum_pair_sequence(ring, pi, abs(k))[-1][c]
+    return tuple(-x for x in out) if k < 0 else out
 
 
 @dataclass(frozen=True)
@@ -441,7 +448,7 @@ def _closure(Q, starts, keep, what: str) -> set:
                 seen.add(y)
                 frontier.append(y)
                 if len(seen) > ROOT_CLOSURE_CAP:
-                    raise InfiniteType(f"{what} exceeded the vector cap")
+                    raise OutOfRange(f"{what} exceeded the cap of {ROOT_CLOSURE_CAP} vectors")
     return seen
 
 

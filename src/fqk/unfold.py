@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import InconsistentVerdict, InfiniteComponent, InfiniteType
+from .errors import InconsistentVerdict, InfiniteComponent, InfiniteType, OutOfRange
 from .module import ModuleCategory, action_arrows
 from .quiver import (
     Classification,
@@ -146,8 +146,9 @@ def _roots(U, rep: Classification) -> list:
     """positive_roots_simply_laced on the classification rep of U, as a list."""
     if not rep.finite:
         raise InfiniteComponent("some component is not finite ADE")
-    if rep.total_root_count() > ROOT_CLOSURE_CAP:
-        raise InfiniteComponent("root closure exceeded the cap")
+    count = rep.total_root_count()
+    if count > ROOT_CLOSURE_CAP:
+        raise OutOfRange(f"{count} positive roots exceed the cap of {ROOT_CLOSURE_CAP}")
     nv = len(U.vertices)
     roots = []
     for c in rep.components:

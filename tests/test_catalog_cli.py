@@ -49,6 +49,11 @@ def boundary_dir(tmp_path_factory):
 README = Path(__file__).resolve().parents[1] / "README.md"
 # the lines of the fenced block under the README's "## CLI" heading
 README_CLI = README.read_text().split("## CLI\n")[1].split("```")[1].splitlines()
+# the fenced Python blocks under the README's "## Quick start" heading
+README_QUICK_START = [
+    b.split("```")[0]
+    for b in README.read_text().split("## Quick start\n")[1].split("\n## ")[0].split("```python\n")[1:]
+]
 
 
 class TestCatalog:
@@ -116,14 +121,14 @@ class TestCatalog:
     @pytest.mark.parametrize(
         "label, text",
         [
-            ({"matrix": [[0, 1], [1, 1]], "fpdim": 1.618033988749895}, "matrix"),
+            ({"matrix": [[0, 1], [1, 1]]}, "matrix"),
             ([1, 2], "1+2*tau"),
             ([0, 2], "2*tau"),
         ],
-        ids=["pinned_fpdim", "coefficients", "multiple_of_a_simple"],
+        ids=["matrix", "coefficients", "multiple_of_a_simple"],
     )
     def test_label_roundtrip_and_dot_text(self, label, text):
-        """A pinned fpdim and a label that is not a simple round-trip through
+        """A matrix label and a label that is not a simple round-trip through
         JSON bit-identically, and the DOT edge shows the label."""
         d = {"vertices": ["a", "b"], "edges": [{"from": 0, "to": 1, "label": label}],
              "ring": ring_to_dict(catalog.fibonacci())}
@@ -247,14 +252,11 @@ class TestCLI:
         [
             ({"matrix": [[0, 0, 0], [0, 0, 1], [0, 1, 1]]}, "Coxeter numbers [2, 5]"),
             ({"matrix": [[0, 1], [0, 0]]}, "Coxeter numbers [2, 3]"),
-            ({"matrix": catalog.sl3at5_action().matrix, "fpdim": 1.5}, "pinned fpdim 1.5"),
-            ({"matrix": [[2]], "fpdim": 1.9}, "pinned fpdim 1.9"),
         ],
-        ids=["reducible", "nilpotent", "pinned_off_2cos", "pinned_below_2_infinite"],
+        ids=["reducible", "nilpotent"],
     )
     def test_label_gamma_rejects_exit_1(self, tmp_path, capsys, label, message):
-        """A label whose one-edge unfolding mixes Coxeter numbers, or whose
-        pinned fpdim is not the 2cos(pi/m) of that unfolding, gives no m."""
+        """A label whose one-edge unfolding mixes Coxeter numbers gives no m."""
         path = tmp_path / "q.json"
         edge = {"from": 0, "to": 1, "label": label}
         path.write_text(dumps({"vertices": ["a", "b"], "edges": [edge]}))
@@ -263,6 +265,26 @@ class TestCLI:
             captured = capsys.readouterr()
             assert captured.out == "" and len(captured.err.splitlines()) == 1
             assert captured.err.startswith("error: ") and message in captured.err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [({"fpdim": True}, "fpdim"), ({"fpdim": 1.618033988749895}, "fpdim"),
+         ({"fpdim": 1.5}, "fpdim"), ({"fpdim": "x"}, "fpdim"), ({"Matrix": [[1]]}, "Matrix")],
+        ids=["fpdim_bool", "fpdim_phi", "fpdim_1.5", "fpdim_str", "misspelled_matrix"],
+    )
+    def test_label_key_other_than_matrix_exit_2(self, tmp_path, capsys, extra, key):
+        """A matrix label is {"matrix": [[...]]}: its FP dimension is read
+        from the matrix, so any other key, a correct pin included, is a
+        usage error that names the key."""
+        path = tmp_path / "q.json"
+        matrix = catalog.sl3at5_action().matrix
+        edge = {"from": 0, "to": 1, "label": {"matrix": [list(r) for r in matrix], **extra}}
+        path.write_text(dumps({"vertices": ["a", "b"], "edges": [edge]}))
+        for cmd in ("classify", "gamma", "enumerate"):
+            assert cli.main([cmd, "--quiver", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("usage error: ") and repr(key) in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -632,6 +654,15 @@ class TestCLI:
             assert cli.main(a) == 0, a
         capsys.readouterr()
 
+    @pytest.mark.parametrize("block", README_QUICK_START, ids=["verdict", "ring"])
+    def test_readme_quick_start_prints_its_comments(self, capsys, block):
+        """A Quick-start block prints, line for line, the comments of its
+        `print(...)  # expected` lines."""
+        want = [ln.split("#", 1)[1].strip() for ln in block.splitlines() if ln.startswith("print(")]
+        assert want
+        exec(block, {})
+        assert capsys.readouterr().out.splitlines() == want
+
     def test_validation_failure_exit_1(self, tmp_path, capsys):
         # a ring violating rigidity exits 1 under validate
         from test_ring import corrupted_fibonacci
@@ -735,7 +766,8 @@ FILE_SOURCES = {
     "quiver": [quiver_to_dict(catalog.builtin(k)) for k in
                ("fib_edge_quiver", "verlinde_l2_typeD_quiver", "sl3at5_x_quiver")],
 }
-# the partial-mode quiver once more, with its label's FP dimension pinned
+# the partial-mode quiver once more, its label carrying a key other than
+# "matrix" (a usage error), as a seed for mutations that drop or change it
 FILE_SOURCES["quiver"].append(json.loads(json.dumps(FILE_SOURCES["quiver"][-1])))
 FILE_SOURCES["quiver"][-1]["edges"][0]["label"]["fpdim"] = 1.618033988749895
 FILE_COMMANDS = {

@@ -5,12 +5,14 @@ main path against the reflection oracles on random labels and quivers."""
 import json
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqk import (
     Edge,
     FusionQuiver,
+    FusionRing,
     InconsistentVerdict,
     InfiniteComponent,
     catalog,
@@ -210,8 +212,30 @@ class TestReflection:
 
 
 
+def rank_two_ring(n):
+    """The rank-2 ring with t (x) t = 1 + n t."""
+    return FusionRing.from_data(("1", "t"), 0, [[[1, 0], [0, 1]], [[0, 1], [1, n]]])
+
+
+def deligne_product(R1, R2):
+    """R1 (x) R2 on the pairs (i, i'), N[(i,i')][(j,j')][(k,k')] =
+    N1[i][j][k] N2[i'][j'][k']."""
+    r = R1.rank * R2.rank
+    N = np.einsum("ijk,abc->iajbkc", R1.tensor, R2.tensor).reshape(r, r, r)
+    names = [f"{a}.{b}" for a in R1.names for b in R2.names]
+    return FusionRing.from_data(names, R1.unit * R2.rank + R2.unit, N.tolist())
+
+
+# rings generated here rather than taken from the catalog. Every one satisfies
+# the ring axioms, so the suites below check ring-level invariants; of the
+# t (x) t = 1 + n t rings only n <= 1 has a fusion category (Ostrik, Fusion
+# categories of rank 2, 2003).
+GENERATED_RINGS = [rank_two_ring(n) for n in range(5)] + [
+    deligne_product(catalog.fibonacci(), catalog.rep_s2()), catalog.verlinde_sl2(12)
+]
+
 # genuine module actions: Smith's m and the angle of FPdim agree only there
-LABEL_MODULES = [regular_module(r) for r in BUILTIN_RINGS.values()] + [
+LABEL_MODULES = [regular_module(r) for r in [*BUILTIN_RINGS.values(), *GENERATED_RINGS]] + [
     catalog.verlinde_typeD(level) for level in range(2, 9, 2)
 ]
 
@@ -226,7 +250,7 @@ def module_labels(draw):
 
 TREE_RINGS = [catalog.fibonacci(), catalog.rep_s2(), catalog.rep_s3()] + [
     catalog.verlinde_sl2(level) for level in range(1, 7)
-]
+] + GENERATED_RINGS
 
 
 @st.composite
@@ -248,6 +272,9 @@ MANY = settings(PROPERTY, max_examples=200)
 
 
 class TestAgainstOracles:
+    """The main path against the oracles over the catalog rings and
+    GENERATED_RINGS; over the latter these are ring-level checks."""
+
     @MANY
     @given(module_labels())
     def test_one_edge_unfolding(self, case):

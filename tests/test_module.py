@@ -179,14 +179,6 @@ class TestModuleFPdims:
                 m = np.asarray(wide(M.tensor[i]), dtype=float)
                 assert np.allclose(m @ mu, dims[i] * mu, atol=1e-7)
 
-    def test_action_label_pin_is_its_fpdim(self, monkeypatch):
-        import fqk.module
-
-        pin = 1.618033988749895
-        monkeypatch.setattr(fqk.module, "perron_eigenpair", lambda A: pytest.fail("pin ignored"))
-        label = ActionLabel.from_rows([[0, 1], [1, 1]], pin)
-        assert label.fpdim() == pin and label.transpose().fpdim() == pin
-
 
 class TestMcKay:
     def test_fibonacci_separated_is_a4_path(self):

@@ -217,6 +217,12 @@ class TestQnumFree:
         assert qnum_free(0, "d").terms == ()
         assert qnum_free(-2, "d").pretty() == "-d"
 
+    @pytest.mark.parametrize("k", [-3, 0, 3])
+    @pytest.mark.parametrize("color", ["x", "D", "d''", ""])
+    def test_unknown_color_rejected(self, k, color):
+        with pytest.raises(OutOfRange, match="a color is d or d'"):
+            qnum_free(k, color)
+
     def test_defining_recursion(self):
         from fqk.reflect import D, DP, NCPolynomial
 
@@ -257,6 +263,13 @@ class TestQnumInRing:
     def test_unit_three_vanishes(self):
         for ring in BUILTIN_RINGS.values():
             assert qnum_in_ring(ring, ring.one, 3) == ring.zero()
+
+    @pytest.mark.parametrize("k", [-3, 0, 3])
+    @pytest.mark.parametrize("color", ["x", "D", "d''", ""])
+    def test_unknown_color_rejected(self, k, color):
+        fib = catalog.fibonacci()
+        with pytest.raises(OutOfRange, match="a color is d or d'"):
+            qnum_in_ring(fib, fib.basis("tau"), k, color)
 
     def test_fpdim_is_classical_qnum(self):
         # FPdim([k]) = [k]_q with q + 1/q = FPdim(pi)
@@ -607,6 +620,40 @@ def reflection_budget(monkeypatch):
 
 
 ORACLES = [enumerate_by_closure, extended_positive_roots]
+
+
+class TestReflectDimvec:
+    ZERO = ((0, 0),) * 4  # fib_h4_quiver: 4 vertices, 2 module simples
+
+    @pytest.mark.parametrize(
+        "v, x, message",
+        [(-1, ZERO, "vertex -1 outside 0..3"), (4, ZERO, "vertex 4 outside 0..3"),
+         (0, ZERO[:3], "4 entries of 2"), (0, ((0,),) * 4, "4 entries of 2"),
+         (0, ZERO + ((0, 0),), "4 entries of 2"), (0, ((0, 0, 0),) * 4, "4 entries of 2")],
+        ids=["vertex_-1", "vertex_4", "three_entries", "one_coefficient", "five_entries",
+             "three_coefficients"],
+    )
+    def test_out_of_range_rejected(self, v, x, message):
+        Q = catalog.fib_h4_quiver()
+        for M in (None, Q.resolved_module()):
+            with pytest.raises(OutOfRange, match=message):
+                reflect_dimvec(Q, M, v, x)
+
+
+class TestRootClosureCap:
+    """A closure or root count past ROOT_CLOSURE_CAP is a size limit, not an
+    infinite-type verdict: fib_edge_quiver has 10 roots, over a cap of 5."""
+
+    def test_enumeration_cap_is_out_of_range(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["fqk.unfold"], "ROOT_CLOSURE_CAP", 5)
+        with pytest.raises(OutOfRange, match="10 positive roots exceed the cap of 5"):
+            enumerate_indecomposables(catalog.fib_edge_quiver())
+
+    @pytest.mark.parametrize("oracle", [enumerate_by_closure, extended_positive_roots])
+    def test_closure_cap_is_out_of_range(self, monkeypatch, oracle):
+        monkeypatch.setattr(sys.modules["fqk.reflect"], "ROOT_CLOSURE_CAP", 5)
+        with pytest.raises(OutOfRange, match="exceeded the cap of 5 vectors"):
+            oracle(catalog.fib_edge_quiver())
 
 
 class TestRootBound:
