@@ -185,8 +185,8 @@ def act_on(M: ModuleCategory, x: RingElement, u: ModuleElement) -> ModuleElement
 
 def sign_class(x) -> str:
     """Classify an integer vector as positive / zero / negative / incoherent."""
-    has_pos = any(c > 0 for c in x)
-    has_neg = any(c < 0 for c in x)
+    has_pos = max(x, default=0) > 0
+    has_neg = min(x, default=0) < 0
     if has_pos and has_neg:
         return "incoherent"
     if has_pos:

@@ -42,20 +42,20 @@ from .unfold import ROOT_CLOSURE_CAP, enumerate_indecomposables
 # largest coefficient of the highest root of E8
 ROOT_ENTRY_MAX = 6
 
+# float64 holds every integer below this exactly
+FLOAT_EXACT = 2**53
+# entries of a sign-coherent quantum number are clipped to this before their
+# FP dimension is formed in floats (see sign_coherence)
+FLOAT_CLIP = 2**62
+
 # DimensionVector: tuple (one entry per quiver vertex) of module-coefficient
-# tuples; hashable, so closures can live in plain sets.
+# tuples.  The closures hold them as int8 rows, flattened vertex-major.
 
 
 def dimvec_basis(nv: int, msize: int, v: int, coeff) -> tuple:
     """The dimension vector with module coefficient `coeff` at vertex v."""
     zero = (0,) * msize
     return tuple(tuple(coeff) if w == v else zero for w in range(nv))
-
-
-def dimvec_is_positive(x) -> bool:
-    return all(all(c >= 0 for c in a) for a in x) and any(
-        c > 0 for a in x for c in a
-    )
 
 
 @dataclass(frozen=True)
@@ -242,18 +242,22 @@ def qnum_free(k: int, color: str = "d") -> NCPolynomial:
 
 def _qnum_pair_sequence(ring: FusionRing, pi, K: int):
     """([k]_d, [k]_d') for k = 1..K by the coupled ring recursion
-    [k+1]_d = pi [k]_d' - [k-1]_d and its color swap."""
+    [k+1]_d = pi [k]_d' - [k-1]_d and its color swap.  For a self-dual pi
+    both letters specialize alike, so [k]_d = [k]_d' and one sequence
+    serves both colors."""
     # pi y = sum_j y[j] (pi S_j): y against the rows of pi's matrix
-    P = combination(ring.tensor, pi)
-    P_dual = combination(ring.tensor, ring_dual(ring, pi))
-    a_prev = b_prev = np.zeros(ring.rank, dtype=object)  # index 0
-    a_cur = b_cur = np.array(ring.one, dtype=object)  # index 1
+    pi_dual = ring_dual(ring, pi)
+    mats = [combination(ring.tensor, pi)]
+    if pi_dual != tuple(pi):
+        mats.append(combination(ring.tensor, pi_dual))
+    prev = [np.zeros(ring.rank, dtype=object)] * len(mats)  # index 0
+    cur = [np.array(ring.one, dtype=object)] * len(mats)  # index 1
     out = []
     for _ in range(K):
-        out.append((tuple(a_cur.tolist()), tuple(b_cur.tolist())))
-        a_prev, b_prev, a_cur, b_cur = (
-            a_cur, b_cur, b_cur.dot(P) - a_prev, a_cur.dot(P_dual) - b_prev
-        )
+        vals = [tuple(c.tolist()) for c in cur]
+        out.append((vals[0], vals[-1]))
+        # color c steps from the other color's value (its own for one color)
+        prev, cur = cur, [cur[-1 - c].dot(P) - prev[c] for c, P in enumerate(mats)]
     return out
 
 
@@ -285,17 +289,21 @@ def sign_coherence(ring: FusionRing, pi, K: int) -> SignCoherenceReport:
     vals_d = [a for a, _ in pairs]
     vals_dp = [b for _, b in pairs]
     signs_d = tuple(sign_class(x) for x in vals_d)
-    signs_dp = tuple(sign_class(x) for x in vals_dp)
+    signs_dp = signs_d if vals_dp == vals_d else tuple(sign_class(x) for x in vals_dp)
     for s in signs_d + signs_dp:
         if s == "incoherent":
             raise SignCoherenceViolation("mixed-sign quantum number encountered")
 
+    # The float FP dimensions only cross-check the exact zero test.  Every
+    # value is sign-coherent here, so a non-zero one has |FPdim| >= 1, and
+    # clipping its entries keeps it far from zero and within a float.
+    clipped = np.clip(np.array(vals_d, dtype=object), -FLOAT_CLIP, FLOAT_CLIP)
+    small = (np.abs(clipped.astype(float) @ np.array(fpv.dims)) < TOL).tolist()
     minimal_m = INFINITY
     for k in range(1, K + 1):
         zd = signs_d[k - 1] == "zero"
         zdp = signs_dp[k - 1] == "zero"
-        small = abs(fpdim_of(ring, vals_d[k - 1], fpv)) < TOL
-        if zd != zdp or zd != small:
+        if zd != zdp or zd != small[k - 1]:
             raise SignCoherenceViolation(
                 f"vanishing criteria disagree at k = {k}"
             )
@@ -429,27 +437,76 @@ def x_ell_dimvec(ring: FusionRing, M: ModuleCategory, pi, L, ell: int):
 # ---------------------------------------------------------------------------
 # the reflection closures
 
-def _closure(Q, starts, keep, what: str) -> set:
-    """The vectors reached from `starts` by simple reflections through
-    vectors that pass `keep`.  Without a loop these are real roots of the
-    unfolding, so an entry beyond the root bound proves infinite type."""
+def _reflection_matrix(Q: FusionQuiver) -> np.ndarray:
+    """B on dimension vectors flattened vertex-major: block row v maps x to
+    block v of its reflection at v, so it holds -I at (v, v) plus the summed
+    actions at (v, w).  Entries are Python ints (dtype=object)."""
+    m = len(Q.module_names())
+    B = np.zeros((Q.nv * m, Q.nv * m), dtype=object)
+    np.fill_diagonal(B, -1)  # a loop, the one (v, v) action, is rejected first
+    for v, pairs in enumerate(_vertex_actions(Q)):
+        for w, rows in pairs:
+            B[v * m:(v + 1) * m, w * m:(w + 1) * m] += np.array(rows, dtype=object)
+    return B
+
+
+def _reflect_rows(F, Bt) -> np.ndarray:
+    """Every simple reflection of every row of F (rows x nv x m): entry
+    [r, v] is block v of row r reflected at v.  One product F B^T, in the
+    dtype of Bt = B^T."""
+    k, nv, m = F.shape
+    return (F.reshape(k, nv * m).astype(Bt.dtype) @ Bt).reshape(k, nv, m)
+
+
+def _closure(Q, starts, positive: bool, what: str) -> np.ndarray:
+    """The vectors reached from the rows `starts` (flattened vertex-major) by
+    simple reflections, through positive vectors only when `positive`, as
+    int8 rows.  Without a loop these are real roots of the unfolding, so an
+    entry beyond the root bound proves infinite type."""
     if any(e.source == e.target for e in Q.edges):
         raise InfiniteType(f"{what}: a loop makes the type infinite")
-    acts = _vertex_actions(Q)
-    seen = set(starts)
-    frontier = list(starts)
-    while frontier:
-        x = frontier.pop()
-        for v in range(Q.nv):
-            y = _reflect(acts, v, x)
-            if any(abs(c) > ROOT_ENTRY_MAX for c in y[v]):
-                raise InfiniteType(f"{what} left the root bound")
-            if y not in seen and keep(y):
-                seen.add(y)
-                frontier.append(y)
-                if len(seen) > ROOT_CLOSURE_CAP:
-                    raise OutOfRange(f"{what} exceeded the cap of {ROOT_CLOSURE_CAP} vectors")
-    return seen
+    B = _reflection_matrix(Q)
+    nv, m, width = Q.nv, len(Q.module_names()), B.shape[0]
+    # frontier entries are bounded by ROOT_ENTRY_MAX, so every partial sum of
+    # the product stays below (max|B| + 1) ROOT_ENTRY_MAX width; float64 is
+    # exact under FLOAT_EXACT, Python ints beyond it
+    bmax = max(map(abs, B.flat), default=0)
+    Bt = B.T.astype(float) if (bmax + 1) * ROOT_ENTRY_MAX * width < FLOAT_EXACT else B.T
+    row_key = np.dtype((np.void, width))
+
+    frontier = np.asarray(starts, dtype=np.int8).reshape(len(starts), width)
+    seen = set(frontier.view(row_key).ravel().tolist())
+    levels = [frontier]
+    while len(frontier):
+        F = frontier.reshape(-1, nv, m)
+        Z = _reflect_rows(F, Bt)
+        if (np.abs(Z) > ROOT_ENTRY_MAX).any():
+            raise InfiniteType(f"{what} left the root bound")
+        Z = Z.astype(np.int8)
+        # a reflection changes only its own block; build the rows where that
+        # block moved (and, for the positive closure, stayed non-negative:
+        # a reflection is invertible, so the row stays non-zero)
+        build = (Z != F).any(axis=2)
+        if positive:
+            build &= (Z >= 0).all(axis=2)
+        r, v = np.nonzero(build)
+        Y = F[r]
+        Y[np.arange(len(r)), v] = Z[r, v]
+        Y = Y.reshape(-1, width)
+        fresh = dict(zip(Y.view(row_key).ravel().tolist(), range(len(Y))))
+        frontier = Y[[i for key, i in fresh.items() if key not in seen]]
+        seen.update(fresh)
+        levels.append(frontier)
+        if len(seen) > ROOT_CLOSURE_CAP:
+            raise OutOfRange(f"{what} exceeded the cap of {ROOT_CLOSURE_CAP} vectors")
+    return np.concatenate(levels)
+
+
+def _dimvecs(rows, nv: int, m: int) -> list:
+    """Flattened rows as sorted tuple-of-tuples dimension vectors."""
+    if rows.size:  # lexsort needs a column
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return [tuple(map(tuple, x)) for x in rows.reshape(len(rows), nv, m).tolist()]
 
 
 def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None):
@@ -458,12 +515,8 @@ def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None):
     keeping positive vectors."""
     Q = _with_module(Q, M)
     msize = len(Q.module_names())
-    starts = [
-        dimvec_basis(Q.nv, msize, v, tuple(1 if j == l else 0 for j in range(msize)))
-        for v in range(Q.nv)
-        for l in range(msize)
-    ]
-    return sorted(_closure(Q, starts, dimvec_is_positive, "closure"))
+    starts = np.eye(Q.nv * msize, dtype=np.int8)
+    return _dimvecs(_closure(Q, starts, True, "closure"), Q.nv, msize)
 
 
 @dataclass(frozen=True)
@@ -482,15 +535,18 @@ def extended_positive_roots(Q: FusionQuiver) -> ExtendedRootReport:
     ring = Q.ring
     if Q.module is not None:
         Q = replace(Q, module=None)  # onto the regular module
-    starts = [dimvec_basis(Q.nv, ring.rank, v, ring.one) for v in range(Q.nv)]
-    orbit = _closure(Q, starts, lambda y: True, "orbit closure")
-    positives = {x for x in orbit if dimvec_is_positive(x)}
+    starts = np.zeros((Q.nv, Q.nv, ring.rank), dtype=np.int8)  # row v: [1] alpha_v
+    starts[np.arange(Q.nv), np.arange(Q.nv)] = ring.one
+    orbit = _closure(Q, starts, False, "orbit closure")
+    positives = orbit[(orbit >= 0).all(axis=1) & orbit.any(axis=1)]
+    phi_plus = _dimvecs(positives, Q.nv, ring.rank)
 
+    # row l of a coefficient's matrix is its product with S_l
+    matrices = {c: combination(ring.tensor, c).tolist() for c in set().union(*phi_plus)}
     orbits = []
     extended = set()
-    for r in sorted(positives):
-        # row l of a coefficient's matrix is its product with S_l
-        rows = [combination(ring.tensor, coeff).tolist() for coeff in r]
+    for r in phi_plus:
+        rows = [matrices[c] for c in r]
         mults = tuple(tuple(tuple(m[l]) for m in rows) for l in range(ring.rank))
         extended.update(mults)
         orbits.append((r, mults))
@@ -501,7 +557,7 @@ def extended_positive_roots(Q: FusionQuiver) -> ExtendedRootReport:
             "extended roots do not match the enumerated indecomposables"
         )
     return ExtendedRootReport(
-        phi_plus=tuple(sorted(positives)),
+        phi_plus=tuple(phi_plus),
         extended=tuple(sorted(extended)),
         orbits=tuple(orbits),
     )

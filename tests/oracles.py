@@ -7,14 +7,18 @@ reports entry for entry, in the same order, their FP dimensions bit for bit
 and their products exactly.  The per-component root closure in `fqk.unfold` must give the roots of
 the global-coordinate closure, and the reflection in `fqk.reflect` must
 agree with the per-edge action below and, on FP dimensions, with its real
-shadow.
+shadow.  The batched closure oracles in `fqk.reflect` must return what the
+vector-by-vector closure below returns, or raise the same error.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from fqk.errors import InfiniteComponent
+from fqk.errors import InfiniteComponent, InfiniteType, MissingAction, OutOfRange
 from fqk.module import label_matrix, module_fpdims
-from fqk.quiver import label_fpdim
+from fqk.quiver import _with_module, label_fpdim
+from fqk.reflect import ROOT_ENTRY_MAX, _reflect, _vertex_actions, dimvec_basis
 from fqk.ring import FPVector, ValidationReport, dual, fpdim, perron_eigenpair, sub
 
 
@@ -275,3 +279,55 @@ def reflect_real(Q, v: int, y):
             acc += label_fpdim(Q, e.label, fpv) * y[e.source]
     out[v] = acc
     return out
+
+
+def _is_positive(x) -> bool:
+    return all(all(c >= 0 for c in a) for a in x) and any(c > 0 for a in x for c in a)
+
+
+def loop_closure(Q, starts, keep, what: str, cap=10**6) -> set:
+    """The vectors reached from `starts` by simple reflections through
+    vectors that pass `keep`, one tuple vector and one vertex at a time."""
+    if any(e.source == e.target for e in Q.edges):
+        raise InfiniteType(f"{what}: a loop makes the type infinite")
+    acts = _vertex_actions(Q)
+    seen = set(starts)
+    frontier = list(starts)
+    while frontier:
+        x = frontier.pop()
+        for v in range(Q.nv):
+            y = _reflect(acts, v, x)
+            if any(abs(c) > ROOT_ENTRY_MAX for c in y[v]):
+                raise InfiniteType(f"{what} left the root bound")
+            if y not in seen and keep(y):
+                seen.add(y)
+                frontier.append(y)
+                if len(seen) > cap:
+                    raise OutOfRange(f"{what} exceeded the cap of {cap} vectors")
+    return seen
+
+
+def loop_enumerate_by_closure(Q, M=None) -> list:
+    Q = _with_module(Q, M)
+    msize = len(Q.module_names())
+    starts = [
+        dimvec_basis(Q.nv, msize, v, tuple(1 if j == l else 0 for j in range(msize)))
+        for v in range(Q.nv)
+        for l in range(msize)
+    ]
+    return sorted(loop_closure(Q, starts, _is_positive, "closure"))
+
+
+def loop_extended_positive_roots(Q) -> tuple:
+    """(phi_plus, extended, orbits) of extended_positive_roots, without its
+    cross-check against the enumeration."""
+    if Q.partial_mode:
+        raise MissingAction("extended roots need full-ring mode")
+    ring = Q.ring
+    Q = replace(Q, module=None)
+    starts = [dimvec_basis(Q.nv, ring.rank, v, ring.one) for v in range(Q.nv)]
+    orbit = loop_closure(Q, starts, lambda y: True, "orbit closure")
+    phi_plus = tuple(sorted(x for x in orbit if _is_positive(x)))
+    orbits = loop_extended_orbits(ring, phi_plus)
+    extended = tuple(sorted({x for _, mults in orbits for x in mults}))
+    return phi_plus, extended, orbits

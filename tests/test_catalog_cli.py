@@ -482,6 +482,17 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "0" in out  # [5] vanishes
 
+    def test_qnum_beyond_the_float_range(self, capsys):
+        """[k] past k = 932 has coefficients too large for a float; the float
+        cross-check of the zero test must still not raise."""
+        argv = ["qnum", "--builtin", "verlinde_sl2", "6", "--object", "V3", "--upto", "1500",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["minimal_m"] == "inf"
+        assert set(data["signs_d"]) == set(data["signs_dp"]) == {"positive"}
+        assert len(data["signs_d"]) == 1500
+
     def test_rank2(self, capsys):
         assert cli.main(["rank2", "--builtin", "fibonacci", "--object", "tau"]) == 0
         assert "5" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """The per-type root tables and the resolved-once reflection against the
 global-coordinate closure and the per-edge reflection in `oracles.py`; the
-main path against the reflection oracles on random labels and quivers."""
+main path against the reflection oracles on random labels and quivers; the
+batched closure oracles against the tuple closure in `oracles.py`."""
 
 import json
 import sys
@@ -10,16 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqk import (
+    ActionLabel,
     Edge,
+    FQKError,
     FusionQuiver,
     FusionRing,
     InconsistentVerdict,
     InfiniteComponent,
+    InfiniteType,
     catalog,
     components,
     coxeter_graph,
     enumerate_by_closure,
     enumerate_indecomposables,
+    extended_positive_roots,
     is_finite_type,
     mckay_quiver,
     positive_roots_simply_laced,
@@ -30,11 +35,16 @@ from fqk import (
 )
 from fqk.io import quiver_from_dict, quiver_to_dict
 from fqk.module import OrdinaryQuiver
-from fqk.reflect import ROOT_ENTRY_MAX
+from fqk.reflect import FLOAT_EXACT, ROOT_ENTRY_MAX
 from fqk.unfold import ADE_ROOT_COUNTS, _a_roots, _d_roots, _e_roots, _embedded, fold_root
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS
-from oracles import edge_reflect_dimvec, global_positive_roots
+from oracles import (
+    edge_reflect_dimvec,
+    global_positive_roots,
+    loop_enumerate_by_closure,
+    loop_extended_positive_roots,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -294,3 +304,61 @@ class TestAgainstOracles:
             assert enumerate_indecomposables(Q) == enumerate_by_closure(Q)
         text = json.dumps(quiver_to_dict(Q))
         assert json.dumps(quiver_to_dict(quiver_from_dict(json.loads(text)))) == text
+
+
+def outcome(oracle, Q):
+    """An oracle's output, or the class of the error it raised."""
+    try:
+        return oracle(Q)
+    except FQKError as e:
+        return type(e)
+
+
+def extended_fields(Q):
+    rep = extended_positive_roots(Q)
+    return rep.phi_plus, rep.extended, rep.orbits
+
+
+# (entry + 1) ROOT_ENTRY_MAX nv m bounds the closure's product on the one-edge
+# quiver with one module simple; it crosses FLOAT_EXACT between these entries
+BELOW_EDGE = (FLOAT_EXACT - 1) // (ROOT_ENTRY_MAX * 2) - 1
+ABOVE_EDGE = BELOW_EDGE + 1
+
+
+class TestBatchedClosure:
+    """enumerate_by_closure and extended_positive_roots, one product per
+    level, against the vector-by-vector closure: equal output, or an error of
+    the same class."""
+
+    def check(self, Q):
+        assert outcome(enumerate_by_closure, Q) == outcome(loop_enumerate_by_closure, Q)
+        assert outcome(extended_fields, Q) == outcome(loop_extended_positive_roots, Q)
+
+    @MANY
+    @given(simple_trees())
+    def test_random_trees(self, Q):
+        self.check(Q)
+
+    @pytest.mark.parametrize("name", sorted(REFLECT_QUIVERS))
+    def test_catalog_quivers(self, name):
+        self.check(REFLECT_QUIVERS[name])
+
+    def test_no_vertices(self):
+        self.check(FusionQuiver((), (), ring=catalog.fibonacci()))
+
+    @pytest.mark.parametrize(
+        "entry, tier",
+        [(BELOW_EDGE, np.float64), (ABOVE_EDGE, object), (2**70, object)],
+        ids=["below_2**53", "above_2**53", "past_int64"],
+    )
+    def test_product_tiers(self, monkeypatch, entry, tier):
+        assert (BELOW_EDGE + 1) * ROOT_ENTRY_MAX * 2 < FLOAT_EXACT <= (ABOVE_EDGE + 1) * ROOT_ENTRY_MAX * 2
+        reflect = sys.modules["fqk.reflect"]
+        real, dtypes = reflect._reflect_rows, []
+        monkeypatch.setattr(
+            reflect, "_reflect_rows", lambda F, Bt: dtypes.append(Bt.dtype) or real(F, Bt)
+        )
+        Q = FusionQuiver(("a", "b"), (Edge(0, 1, ActionLabel.from_rows([[entry]])),))
+        with pytest.raises(InfiniteType, match="root bound"):
+            enumerate_by_closure(Q)
+        assert dtypes == [np.dtype(tier)]

@@ -7,6 +7,7 @@ import pytest
 from fqk import (
     Edge,
     FusionQuiver,
+    FusionRing,
     InfiniteType,
     OutOfRange,
     SignCoherenceViolation,
@@ -38,7 +39,7 @@ from fqk.ring import INFINITY
 from fqk.unfold import fold_root, unfold_coords
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS, random_element
-from oracles import dimvec_fpdim, reflect_real
+from oracles import dimvec_fpdim, loop_qnum_pairs, reflect_real
 
 # (ring key, label name) pairs exercising every builtin generator label
 BUILTIN_LABELS = [
@@ -49,6 +50,12 @@ BUILTIN_LABELS = [
     ("verlinde_sl2_2", "V1"),
     ("verlinde_sl2_4", "V1"),
 ]
+
+
+# the group ring of Z/3 on (1, g, g^2): g and g^2 are dual to each other
+Z3 = FusionRing.from_data(
+    ("1", "g", "g2"), 0, [[[int(k == (i + j) % 3) for k in range(3)] for j in range(3)] for i in range(3)]
+)
 
 
 def random_dimvec(rng, Q, msize, lo=-2, hi=2):
@@ -248,6 +255,13 @@ class TestQnumFree:
                     ring, pi, k, "d'"
                 )
 
+    @pytest.mark.parametrize("pi", [(0, 1, 0), (0, 1, 1)], ids=["g", "g+g2"])
+    def test_free_specializes_over_a_non_self_dual_ring(self, pi):
+        # g is not self-dual, so d and d' specialize apart; g + g^2 is
+        for k in range(-6, 13):
+            for color in ("d", "d'"):
+                assert qnum_free(k, color).evaluate(Z3, pi) == qnum_in_ring(Z3, pi, k, color)
+
 
 class TestQnumInRing:
     def test_fibonacci_three_is_tau(self):
@@ -369,6 +383,14 @@ class TestSignCoherence:
         for rkey, lname in BUILTIN_LABELS:
             ring = BUILTIN_RINGS[rkey]
             sign_coherence(ring, ring.basis(lname), 20)  # must not raise
+
+    @pytest.mark.parametrize("pi, m", [((0, 1, 0), 3), ((0, 1, 1), INFINITY)], ids=["g", "g+g2"])
+    def test_non_self_dual_ring(self, pi, m):
+        rep = sign_coherence(Z3, pi, 12)
+        pairs = loop_qnum_pairs(Z3, pi, 12)
+        assert rep.values_d == tuple(a for a, _ in pairs)
+        assert rep.minimal_m == m
+        assert rep.signs_dp == tuple(sign_class(b) for _, b in pairs) == rep.signs_d
 
     def test_mixed_sign_input_detected(self):
         fib = catalog.fibonacci()
@@ -607,16 +629,17 @@ class TestExtendedRoots:
 
 @pytest.fixture
 def reflection_budget(monkeypatch):
-    """Fail fast, instead of running on, past 1000 simple reflections."""
+    """Fail fast, instead of running on, past 1000 reflected (vector, vertex)
+    pairs: a closure level reflects each of its rows at every vertex."""
     reflect = sys.modules["fqk.reflect"]
-    real, calls = reflect._reflect, [0]
+    real, pairs = reflect._reflect_rows, [0]
 
-    def counted(*args):
-        calls[0] += 1
-        assert calls[0] <= 1000, "reflection budget exceeded"
-        return real(*args)
+    def counted(F, Bt):
+        pairs[0] += F.shape[0] * F.shape[1]
+        assert pairs[0] <= 1000, "reflection budget exceeded"
+        return real(F, Bt)
 
-    monkeypatch.setattr(reflect, "_reflect", counted)
+    monkeypatch.setattr(reflect, "_reflect_rows", counted)
 
 
 ORACLES = [enumerate_by_closure, extended_positive_roots]
