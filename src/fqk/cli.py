@@ -145,11 +145,13 @@ def cmd_validate(args) -> int:
 def cmd_fpdim(args) -> int:
     ring = _ring(args)
     fpv = fpdim(ring)
+    # the power iteration stops at a 1e-10 residual: the text shows the
+    # digits that holds, JSON the whole float
     if args.object:
         val = fpdim_of(ring, _object(args, ring), fpv)
-        _emit(args, {"object": args.object, "fpdim": val}, f"{val:.12g}")
+        _emit(args, {"object": args.object, "fpdim": val}, f"{val:.9g}")
     else:
-        rows = "\n".join(f"{nm}: {d:.12g}" for nm, d in zip(ring.names, fpv.dims))
+        rows = "\n".join(f"{nm}: {d:.9g}" for nm, d in zip(ring.names, fpv.dims))
         _emit(args, {"dims": dict(zip(ring.names, fpv.dims))}, rows)
     return 0
 

@@ -7,7 +7,6 @@ decides; no module on that path imports this one."""
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -50,12 +49,6 @@ FLOAT_CLIP = 2**62
 
 # DimensionVector: tuple (one entry per quiver vertex) of module-coefficient
 # tuples.  The closures hold them as int8 rows, flattened vertex-major.
-
-
-def dimvec_basis(nv: int, msize: int, v: int, coeff) -> tuple:
-    """The dimension vector with module coefficient `coeff` at vertex v."""
-    zero = (0,) * msize
-    return tuple(tuple(coeff) if w == v else zero for w in range(nv))
 
 
 @dataclass(frozen=True)
@@ -103,36 +96,32 @@ def real_bilinear_form(Q: FusionQuiver):
     return g
 
 
-def _vertex_actions(Q: FusionQuiver) -> list:
-    """Per vertex v, the (neighbor, matrix rows) pairs of the reflection at
-    v: the transposed label matrix for an arrow out of v, the label matrix
-    for an arrow into v.  A loop counts once, through its dual action."""
-    acts = [[] for _ in range(Q.nv)]
+def _blocks(Q: FusionQuiver, at: int | None = None):
+    """The off-diagonal blocks (v, w, rows) of the reflection matrix B, or of
+    its block row `at` only: the transposed label action for an arrow
+    v -> w, the label action for an arrow w -> v.  A loop counts once,
+    through its dual action."""
     for e, rows in zip(Q.edges, Q.edge_actions):
-        acts[e.source].append((e.target, tuple(zip(*rows))))
-        if e.target != e.source:
-            acts[e.target].append((e.source, rows))
-    return acts
-
-
-def _reflect(acts, v: int, x: tuple) -> tuple:
-    """reflect_dimvec at v, on the vertex actions of _vertex_actions."""
-    new_v = [-c for c in x[v]]
-    for w, rows in acts[v]:
-        new_v = [a + sum(map(operator.mul, row, x[w])) for a, row in zip(new_v, rows)]
-    return x[:v] + (tuple(new_v),) + x[v + 1:]
+        if at in (None, e.source):
+            yield e.source, e.target, tuple(zip(*rows))
+        if e.target != e.source and at in (None, e.target):
+            yield e.target, e.source, rows
 
 
 def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tuple:
     """Simple reflection at vertex v acting on a dimension vector: the
     coefficient at v becomes minus itself plus the (dual-)label actions on
-    the neighboring coefficients; an involution."""
+    the neighboring coefficients; an involution.  Block row v of B, in
+    Python ints."""
     Q, x = _with_module(Q, M), tuple(x)
     _check_vertex(Q, v)
     msize = len(Q.module_names())
     if len(x) != Q.nv or any(len(a) != msize for a in x):
         raise OutOfRange(f"a dimension vector has {Q.nv} entries of {msize} coefficients each")
-    return _reflect(_vertex_actions(Q), v, x)
+    new_v = [-c for c in x[v]]
+    for _, w, rows in _blocks(Q, v):
+        new_v = [a + sum(r * c for r, c in zip(row, x[w])) for a, row in zip(new_v, rows)]
+    return x[:v] + (tuple(new_v),) + x[v + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +271,13 @@ def sign_coherence(ring: FusionRing, pi, K: int) -> SignCoherenceReport:
     """Classify the signs of [k]_d and [k]_d' for k up to K, locate the
     minimal vanishing index m, and verify the zero/sign alternation pattern
     (zeros exactly at multiples of m, signs flipping block by block)."""
+    return _sign_coherence(ring, pi, K, fpdim(ring))
+
+
+def _sign_coherence(ring: FusionRing, pi, K: int, fpv) -> SignCoherenceReport:
+    """sign_coherence on the FP dimensions fpv of ring."""
     if K < 1:
         raise OutOfRange("K must be at least 1")
-    fpv = fpdim(ring)
     pairs = _qnum_pair_sequence(ring, pi, K)
     vals_d = [a for a, _ in pairs]
     vals_dp = [b for _, b in pairs]
@@ -327,44 +320,46 @@ def sign_coherence(ring: FusionRing, pi, K: int) -> SignCoherenceReport:
 # ---------------------------------------------------------------------------
 # rank-two machinery
 
-def _two_vertex_quiver(ring, pi, module):
-    return FusionQuiver(
-        vertices=("a", "b"),
-        edges=(Edge(0, 1, pi),),
-        ring=ring,
-        module=module,
-    )
-
-
-def _orbit_size(acts, start):
-    """Order of sigma_a sigma_b on a simple root: the steps until the vector
-    returns to `start`, or INFINITY once an entry leaves the root bound."""
-    x = start
+def _orbit_sizes(Q: FusionQuiver) -> set:
+    """Order of sigma_a sigma_b on each simple root [L] alpha_a of the
+    one-edge quiver Q, all roots at once: the first step at which a root
+    returns, or INFINITY once an entry leaves the root bound.  The bound is
+    tested after every reflection, so each product starts from rows within
+    it, as _product_matrix needs."""
+    m = len(Q.module_names())
+    Bt = _product_matrix(Q)
+    start = np.zeros((m, 2, m), dtype=np.int8)
+    start[np.arange(m), 0, np.arange(m)] = 1
+    sizes, x = set(), start
     for step in itertools.count(1):
-        x = _reflect(acts, 0, _reflect(acts, 1, x))
-        if x == start:
-            return step
-        if any(abs(c) > ROOT_ENTRY_MAX for a in x for c in a):
-            return INFINITY
+        for v in (1, 0):
+            y = _reflect_rows(x, Bt)[:, v]
+            out = (np.abs(y) > ROOT_ENTRY_MAX).any(axis=1)
+            if out.any():
+                sizes.add(INFINITY)
+            start, x = start[~out], x[~out]  # copies: start keeps its rows
+            x[:, v] = y[~out].astype(np.int8)
+        back = (x == start).all(axis=(1, 2))
+        if back.any():
+            sizes.add(step)
+        start, x = start[~back], x[~back]
+        if not len(x):
+            return sizes
 
 
 def rank_two_order(ring: FusionRing | None, pi, module: ModuleCategory | None = None):
     """Order of sigma_a sigma_b for the one-edge quiver labeled pi, computed
     three independent ways (FP-dimension angle, minimal vanishing quantum
     number, reflection orbit size) and cross-checked."""
-    Q = _two_vertex_quiver(ring, pi, module)
-    results = {"angle": angle_label(label_fpdim(Q, pi))}
+    Q = FusionQuiver(("a", "b"), (Edge(0, 1, pi),), ring=ring, module=module)
+    fpv = None if isinstance(pi, ActionLabel) else fpdim(ring)
+    results = {"angle": angle_label(label_fpdim(Q, pi, fpv))}
 
-    if not isinstance(pi, ActionLabel):
+    if fpv is not None:
         K = 2 * results["angle"] + 2 if results["angle"] != INFINITY else 50
-        results["qnum"] = sign_coherence(ring, pi, K).minimal_m
+        results["qnum"] = _sign_coherence(ring, pi, K, fpv).minimal_m
 
-    acts = _vertex_actions(Q)
-    msize = len(Q.module_names())
-    orbit_sizes = set()
-    for l in range(msize):
-        start = dimvec_basis(2, msize, 0, tuple(1 if j == l else 0 for j in range(msize)))
-        orbit_sizes.add(_orbit_size(acts, start))
+    orbit_sizes = _orbit_sizes(Q)
     if len(orbit_sizes) != 1:
         raise InconsistentVerdict(f"orbit sizes differ across simples: {orbit_sizes}")
     results["orbit"] = orbit_sizes.pop()
@@ -437,17 +432,20 @@ def x_ell_dimvec(ring: FusionRing, M: ModuleCategory, pi, L, ell: int):
 # ---------------------------------------------------------------------------
 # the reflection closures
 
-def _reflection_matrix(Q: FusionQuiver) -> np.ndarray:
-    """B on dimension vectors flattened vertex-major: block row v maps x to
-    block v of its reflection at v, so it holds -I at (v, v) plus the summed
-    actions at (v, w).  Entries are Python ints (dtype=object)."""
+def _product_matrix(Q: FusionQuiver) -> np.ndarray:
+    """B^T for _reflect_rows.  B acts on dimension vectors flattened
+    vertex-major, and its block row v maps x to block v of x reflected at v:
+    -I at (v, v) plus the summed _blocks at (v, w).  The rows it multiplies
+    have entries within ROOT_ENTRY_MAX, so every partial sum stays below
+    (max|B| + 1) ROOT_ENTRY_MAX width: float64 is exact while that is under
+    FLOAT_EXACT, Python ints (dtype=object) serve beyond it."""
     m = len(Q.module_names())
     B = np.zeros((Q.nv * m, Q.nv * m), dtype=object)
     np.fill_diagonal(B, -1)  # a loop, the one (v, v) action, is rejected first
-    for v, pairs in enumerate(_vertex_actions(Q)):
-        for w, rows in pairs:
-            B[v * m:(v + 1) * m, w * m:(w + 1) * m] += np.array(rows, dtype=object)
-    return B
+    for v, w, rows in _blocks(Q):
+        B[v * m:(v + 1) * m, w * m:(w + 1) * m] += np.array(rows, dtype=object)
+    bmax = max(map(abs, B.flat), default=0)
+    return B.T.astype(float) if (bmax + 1) * ROOT_ENTRY_MAX * len(B) < FLOAT_EXACT else B.T
 
 
 def _reflect_rows(F, Bt) -> np.ndarray:
@@ -465,13 +463,8 @@ def _closure(Q, starts, positive: bool, what: str) -> np.ndarray:
     entry beyond the root bound proves infinite type."""
     if any(e.source == e.target for e in Q.edges):
         raise InfiniteType(f"{what}: a loop makes the type infinite")
-    B = _reflection_matrix(Q)
-    nv, m, width = Q.nv, len(Q.module_names()), B.shape[0]
-    # frontier entries are bounded by ROOT_ENTRY_MAX, so every partial sum of
-    # the product stays below (max|B| + 1) ROOT_ENTRY_MAX width; float64 is
-    # exact under FLOAT_EXACT, Python ints beyond it
-    bmax = max(map(abs, B.flat), default=0)
-    Bt = B.T.astype(float) if (bmax + 1) * ROOT_ENTRY_MAX * width < FLOAT_EXACT else B.T
+    Bt = _product_matrix(Q)
+    nv, m, width = Q.nv, len(Q.module_names()), len(Bt)
     row_key = np.dtype((np.void, width))
 
     frontier = np.asarray(starts, dtype=np.int8).reshape(len(starts), width)

@@ -8,9 +8,13 @@ and their products exactly.  The per-component root closure in `fqk.unfold` must
 the global-coordinate closure, and the reflection in `fqk.reflect` must
 agree with the per-edge action below and, on FP dimensions, with its real
 shadow.  The batched closure oracles in `fqk.reflect` must return what the
-vector-by-vector closure below returns, or raise the same error.
+vector-by-vector closure below returns, or raise the same error, and its
+batched rank-two orbit the sizes of the one-simple-at-a-time orbit below.
+Both run on the tuple reflection here, not on any reflection of `fqk.reflect`.
 """
 
+import itertools
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +22,8 @@ import numpy as np
 from fqk.errors import InfiniteComponent, InfiniteType, MissingAction, OutOfRange
 from fqk.module import label_matrix, module_fpdims
 from fqk.quiver import _with_module, label_fpdim
-from fqk.reflect import ROOT_ENTRY_MAX, _reflect, _vertex_actions, dimvec_basis
-from fqk.ring import FPVector, ValidationReport, dual, fpdim, perron_eigenpair, sub
+from fqk.reflect import ROOT_ENTRY_MAX
+from fqk.ring import INFINITY, FPVector, ValidationReport, dual, fpdim, perron_eigenpair, sub
 
 
 def _left_mult(ring, i):
@@ -279,6 +283,54 @@ def reflect_real(Q, v: int, y):
             acc += label_fpdim(Q, e.label, fpv) * y[e.source]
     out[v] = acc
     return out
+
+
+def dimvec_basis(nv: int, msize: int, v: int, coeff) -> tuple:
+    """The dimension vector with module coefficient `coeff` at vertex v."""
+    zero = (0,) * msize
+    return tuple(tuple(coeff) if w == v else zero for w in range(nv))
+
+
+def _vertex_actions(Q) -> list:
+    """Per vertex v, the (neighbor, matrix rows) pairs of the reflection at
+    v: the transposed label matrix for an arrow out of v, the label matrix
+    for an arrow into v.  A loop counts once, through its dual action."""
+    acts = [[] for _ in range(Q.nv)]
+    for e, rows in zip(Q.edges, Q.edge_actions):
+        acts[e.source].append((e.target, tuple(zip(*rows))))
+        if e.target != e.source:
+            acts[e.target].append((e.source, rows))
+    return acts
+
+
+def _reflect(acts, v: int, x: tuple) -> tuple:
+    """The reflection at v of the tuple vector x, on the vertex actions of
+    _vertex_actions."""
+    new_v = [-c for c in x[v]]
+    for w, rows in acts[v]:
+        new_v = [a + sum(map(operator.mul, row, x[w])) for a, row in zip(new_v, rows)]
+    return x[:v] + (tuple(new_v),) + x[v + 1:]
+
+
+def loop_orbit_sizes(Q) -> set:
+    """The orbit sizes of sigma_a sigma_b over the simple roots [L] alpha_a
+    of the one-edge quiver Q, one simple and one tuple vector at a time: the
+    steps until the vector returns, or INFINITY once an entry leaves the root
+    bound after a step."""
+    acts = _vertex_actions(Q)
+    msize = len(Q.module_names())
+    sizes = set()
+    for l in range(msize):
+        start = x = dimvec_basis(2, msize, 0, tuple(int(j == l) for j in range(msize)))
+        for step in itertools.count(1):
+            x = _reflect(acts, 0, _reflect(acts, 1, x))
+            if x == start:
+                sizes.add(step)
+                break
+            if any(abs(c) > ROOT_ENTRY_MAX for a in x for c in a):
+                sizes.add(INFINITY)
+                break
+    return sizes
 
 
 def _is_positive(x) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import io as stdio
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -147,6 +148,15 @@ class TestCatalog:
     def test_check_dot_rejects_garbage(self):
         assert not check_dot("graph { a -> b }")  # wrong arrow for graph
         assert not check_dot("not dot at all")
+
+
+# FP dimensions in closed form: V_j at level L has sin((j+1)pi/(L+2)) / sin(pi/(L+2))
+CLOSED_FORM_DIMS = {
+    f"verlinde_sl2 {L}": [math.sin((j + 1) * math.pi / (L + 2)) / math.sin(math.pi / (L + 2))
+                          for j in range(L + 1)]
+    for L in range(1, 31)
+} | {"vect": [1], "rep_s2": [1, 1], "rep_s3": [1, 1, 2], "rep_s4": [1, 1, 2, 3, 3],
+     "fibonacci": [1, (1 + math.sqrt(5)) / 2]}
 
 
 class TestCLI:
@@ -394,7 +404,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize(
-        "obj, text", [("tau", "1.61803398883"), ("1,1", "2.61803398883"), ("0 1", "1.61803398883")]
+        "obj, text", [("tau", "1.61803399"), ("1,1", "2.61803399"), ("0 1", "1.61803399")]
     )
     def test_fpdim_of_object(self, capsys, fmt, obj, text):
         """--object is a simple's name or its coefficient vector."""
@@ -404,7 +414,17 @@ class TestCLI:
             assert out == text + "\n"
         else:
             data = json.loads(out)
-            assert data["object"] == obj and f"{data['fpdim']:.12g}" == text
+            assert data["object"] == obj and f"{data['fpdim']:.9g}" == text
+
+    @pytest.mark.parametrize("key", CLOSED_FORM_DIMS)
+    def test_fpdim_table_prints_the_closed_form(self, capsys, key):
+        """The table shows 9 significant digits, the ones the power
+        iteration's 1e-10 residual leaves exact."""
+        args = key.split()
+        assert cli.main(["fpdim", "--builtin", *args]) == 0
+        names = builtin(args[0], *map(int, args[1:])).names
+        want = "".join(f"{n}: {d:.9g}\n" for n, d in zip(names, CLOSED_FORM_DIMS[key]))
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_fpdim_of_object_of_wrong_length(self, capsys, fmt):

@@ -1,7 +1,8 @@
 """The per-type root tables and the resolved-once reflection against the
 global-coordinate closure and the per-edge reflection in `oracles.py`; the
 main path against the reflection oracles on random labels and quivers; the
-batched closure oracles against the tuple closure in `oracles.py`."""
+batched closure oracles and rank-two orbit against the tuple closure and
+orbit in `oracles.py`."""
 
 import json
 import sys
@@ -35,7 +36,7 @@ from fqk import (
 )
 from fqk.io import quiver_from_dict, quiver_to_dict
 from fqk.module import OrdinaryQuiver
-from fqk.reflect import FLOAT_EXACT, ROOT_ENTRY_MAX
+from fqk.reflect import FLOAT_EXACT, ROOT_ENTRY_MAX, _orbit_sizes
 from fqk.unfold import ADE_ROOT_COUNTS, _a_roots, _d_roots, _e_roots, _embedded, fold_root
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS
@@ -44,6 +45,7 @@ from oracles import (
     global_positive_roots,
     loop_enumerate_by_closure,
     loop_extended_positive_roots,
+    loop_orbit_sizes,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -241,8 +243,10 @@ def deligne_product(R1, R2):
 # t (x) t = 1 + n t rings only n <= 1 has a fusion category (Ostrik, Fusion
 # categories of rank 2, 2003).
 GENERATED_RINGS = [rank_two_ring(n) for n in range(5)] + [
-    deligne_product(catalog.fibonacci(), catalog.rep_s2()), catalog.verlinde_sl2(12)
-]
+    deligne_product(catalog.fibonacci(), catalog.rep_s2()),
+    deligne_product(catalog.fibonacci(), catalog.fibonacci()),
+    deligne_product(catalog.rep_s3(), catalog.rep_s2()),
+] + [catalog.verlinde_sl2(level) for level in range(7, 13)]
 
 # genuine module actions: Smith's m and the angle of FPdim agree only there
 LABEL_MODULES = [regular_module(r) for r in [*BUILTIN_RINGS.values(), *GENERATED_RINGS]] + [
@@ -304,6 +308,23 @@ class TestAgainstOracles:
             assert enumerate_indecomposables(Q) == enumerate_by_closure(Q)
         text = json.dumps(quiver_to_dict(Q))
         assert json.dumps(quiver_to_dict(quiver_from_dict(json.loads(text)))) == text
+
+
+@st.composite
+def partial_labels(draw):
+    """An n x n action matrix, n = 1-3, with entries 0-2."""
+    n = draw(st.integers(1, 3))
+    return ActionLabel.from_rows([[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)])
+
+
+@MANY
+@given(st.one_of(module_labels(), st.tuples(st.none(), partial_labels())))
+def test_orbit_sizes_per_simple(case):
+    """The batched orbit of sigma_a sigma_b over every simple root of the
+    one-edge quiver has the sizes of the one-simple-at-a-time tuple orbit."""
+    M, x = case
+    Q = FusionQuiver(("a", "b"), (Edge(0, 1, x),), ring=M and M.ring, module=M)
+    assert _orbit_sizes(Q) == loop_orbit_sizes(Q)
 
 
 def outcome(oracle, Q):

@@ -1,13 +1,16 @@
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from fqk import (
+    ActionLabel,
     Edge,
     FusionQuiver,
     FusionRing,
+    InconsistentVerdict,
     InfiniteType,
     OutOfRange,
     SignCoherenceViolation,
@@ -34,12 +37,11 @@ from fqk import (
     x_ell_dimvec,
 )
 from fqk.module import sign_class
-from fqk.reflect import dimvec_basis
 from fqk.ring import INFINITY
 from fqk.unfold import fold_root, unfold_coords
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS, random_element
-from oracles import dimvec_fpdim, loop_qnum_pairs, reflect_real
+from oracles import dimvec_basis, dimvec_fpdim, loop_qnum_pairs, reflect_real
 
 # (ring key, label name) pairs exercising every builtin generator label
 BUILTIN_LABELS = [
@@ -431,6 +433,15 @@ class TestRankTwoOrder:
 
     def test_partial_mode(self):
         assert rank_two_order(None, catalog.sl3at5_action()) == 5
+
+    @pytest.mark.parametrize(
+        "rows, sizes", [([[1, 0], [0, 2]], "{3, inf}"), ([[1, 0], [0, 0]], "{2, 3}")],
+        ids=["finite_and_infinite", "two_finite"],
+    )
+    def test_orbit_sizes_differ_across_simples(self, rows, sizes):
+        # each simple spans its own component of the unfolding
+        with pytest.raises(InconsistentVerdict, match=re.escape(f"differ across simples: {sizes}")):
+            rank_two_order(None, ActionLabel.from_rows(rows))
 
     def test_every_builtin_label(self):
         # the orbit-size, quantum-number, and angle methods are cross-checked
