@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 from .errors import InconsistentVerdict, InfiniteComponent, InfiniteType, OutOfRange
 from .module import ModuleCategory, action_arrows
 from .quiver import (
@@ -139,33 +141,36 @@ def _cross_checked(Q: FusionQuiver, U: UnfoldedQuiver) -> FiniteTypeVerdict:
 def positive_roots_simply_laced(U) -> frozenset:
     """All positive roots of a disjoint union of finite ADE quivers (unfolded
     or ordinary), listed per component by its type and checked against Gabriel's table."""
-    return frozenset(_roots(U, components(U)))
+    return frozenset(map(tuple, _root_array(U, components(U)).tolist()))
 
 
-def _roots(U, rep: Classification) -> list:
-    """positive_roots_simply_laced on the classification rep of U, as a list."""
+def _root_array(U, rep: Classification) -> np.ndarray:
+    """positive_roots_simply_laced on the classification rep of U, as int8 rows."""
     if not rep.finite:
         raise InfiniteComponent("some component is not finite ADE")
     count = rep.total_root_count()
     if count > ROOT_CLOSURE_CAP:
         raise OutOfRange(f"{count} positive roots exceed the cap of {ROOT_CLOSURE_CAP}")
-    nv = len(U.vertices)
-    roots = []
+    out = np.zeros((count, len(U.vertices)), dtype=np.int8)
+    table_of, r = cache(_type_table), 0  # one table per distinct type
     for c in rep.components:
-        name = c.type_name
-        if name[0] == "E":
-            found = [_embedded(c.order, x, nv) for x in _e_roots(name)]
-            table = ADE_ROOT_COUNTS[name]
-        else:
-            found = list((_a_roots if name[0] == "A" else _d_roots)(c.order, nv))
-            table = ADE_ROOT_COUNTS[name[0]](len(c.vertices))
-        if not len(found) == table == c.positive_root_count:
+        name, k = c.type_name, len(c.vertices)
+        t = table_of(name, k)
+        table = ADE_ROOT_COUNTS[name] if name[0] == "E" else ADE_ROOT_COUNTS[name[0]](k)
+        if not len(t) == table == c.positive_root_count:
             raise InconsistentVerdict(
-                f"found {len(found)} roots on {name}, table says {table}, "
+                f"found {len(t)} roots on {name}, table says {table}, "
                 f"n*h/2 = {c.positive_root_count}"
             )
-        roots += found
-    return roots
+        out[r:r + len(t), list(c.order)] = t
+        r += len(t)
+    return out
+
+
+def _type_table(name, k) -> np.ndarray:
+    """The positive roots of the ADE type `name` on k vertices in arm order, one per row."""
+    rows = _e_roots(name) if name[0] == "E" else (_a_roots, _d_roots)[name[0] == "D"](range(k), k)
+    return np.frombuffer(b"".join(map(bytes, rows)), dtype=np.int8).reshape(-1, k)
 
 
 def _runs(y, vertices):
@@ -212,16 +217,11 @@ def _e_roots(name) -> tuple:
     return tuple(found)
 
 
-def _embedded(order, x, nv) -> tuple:
-    y = [0] * nv
-    for v, a in zip(order, x):
-        y[v] = a
-    return tuple(y)
-
-
 def fold_root(U, root: tuple) -> tuple:
     """Fold an unfolded positive root back to a dimension vector: the module
     coefficient at quiver vertex v collects the root entries over (v, L)."""
+    if len(root) != len(U.vertices):
+        raise OutOfRange(f"a root of {len(root)} entries on {len(U.vertices)} unfolded vertices")
     return tuple(zip(*[iter(root)] * len(U.mnames)))
 
 
@@ -238,5 +238,25 @@ def enumerate_indecomposables(Q: FusionQuiver, M: ModuleCategory | None = None):
     verdict = _cross_checked(Q, U)
     if not verdict.finite:
         raise InfiniteType("quiver is of infinite representation type")
-    # a root's entries run vertex-major, so sorting roots sorts their folds
-    return [fold_root(U, r) for r in sorted(_roots(U, verdict.unfolded))]
+    roots = _root_array(U, verdict.unfolded)
+    if not len(roots):  # a quiver without vertices: no block to rank, no key to sort by
+        return []
+    # one tuple per distinct block. Ranks order blocks as tuples do and roots run vertex-major,
+    # so the sorted rows of ranks give the sorted folds, gathered 2**16 blocks at a time
+    distinct, ranks = _lex_ranks(roots.reshape(len(roots), -1, len(U.mnames)))
+    shared = np.fromiter(map(tuple, distinct.tolist()), dtype=object, count=len(distinct))
+    parts = np.array_split(ranks[np.lexsort(ranks.T[::-1])], 1 + (ranks.size >> 16))
+    return [x for part in parts for x in map(tuple, shared[part].tolist())]
+
+
+def _lex_ranks(rows) -> tuple:
+    """The distinct vectors along the last axis, in lexicographic order, and each vector's rank."""
+    radix = int(rows.max()) + 1
+    distinct, ranks = np.zeros((1, 0), dtype=rows.dtype), np.zeros(rows.shape[:-1], dtype=np.intp)
+    for column in np.moveaxis(rows, -1, 0):
+        keys = ranks * radix + column  # (prefix rank, entry) pairs, ordered as tuples are
+        seen = np.bincount(keys.ravel(), minlength=len(distinct) * radix) > 0
+        kept = np.flatnonzero(seen)
+        distinct = np.column_stack([distinct[kept // radix], kept % radix])
+        ranks = (np.cumsum(seen) - 1)[keys]
+    return distinct, ranks

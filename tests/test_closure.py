@@ -20,6 +20,7 @@ from fqk import (
     InconsistentVerdict,
     InfiniteComponent,
     InfiniteType,
+    OutOfRange,
     catalog,
     components,
     coxeter_graph,
@@ -37,7 +38,7 @@ from fqk import (
 from fqk.io import quiver_from_dict, quiver_to_dict
 from fqk.module import OrdinaryQuiver
 from fqk.reflect import FLOAT_EXACT, ROOT_ENTRY_MAX, _orbit_sizes
-from fqk.unfold import ADE_ROOT_COUNTS, _a_roots, _d_roots, _e_roots, _embedded, fold_root
+from fqk.unfold import ADE_ROOT_COUNTS, _type_table, fold_root
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS
 from oracles import (
@@ -124,14 +125,17 @@ class TestRootClosure:
     )
     def test_tables_match_global_closure(self, name):
         """A and D roots listed in Bourbaki's labelling, and the E table
-        embedded by the arm order the recognizer finds there."""
+        placed by the arm order the recognizer finds there."""
         n = int(name[1:])
         arrows = tuple((u, v, 1) for u, v in dynkin_edges(name))
+        order = list(range(n))
         if name[0] == "E":
             (c,) = components(OrdinaryQuiver(tuple(range(n)), arrows)).components
-            roots = [_embedded(c.order, x, n) for x in _e_roots(name)]
-        else:
-            roots = list((_a_roots if name[0] == "A" else _d_roots)(tuple(range(n)), n))
+            order = list(c.order)
+        table = _type_table(name, n)
+        placed = np.zeros_like(table)
+        placed[:, order] = table
+        roots = list(map(tuple, placed.tolist()))
         assert len(roots) == table_count(name)
         assert set(roots) == global_positive_roots(n, arrows)
 
@@ -162,6 +166,13 @@ class TestRootClosure:
             want = tuple(root[v * nm:(v + 1) * nm] for v in range(len(U.qvertices)))
             assert fold_root(U, root) == want
 
+    @pytest.mark.parametrize("root", [(1, 0, 1), (1,) * 9], ids=["short", "long"])
+    def test_fold_root_rejects_wrong_length(self, root):
+        U = unfold(catalog.fib_h4_quiver())
+        assert len(U.vertices) == 8
+        with pytest.raises(OutOfRange, match=f"{len(root)} entries on 8 unfolded vertices"):
+            fold_root(U, root)
+
     @pytest.mark.parametrize("name", FINITE_QUIVERS)
     def test_finite_builtin_unfoldings(self, name):
         U = unfold(BUILTIN_QUIVERS[name])
@@ -181,6 +192,48 @@ class TestRootClosure:
         q = OrdinaryQuiver(vertices=tuple(range(nv)), arrows=arrows)
         with pytest.raises(InfiniteComponent, match="not finite ADE"):
             positive_roots_simply_laced(q)
+
+
+def fold_edge_cases():
+    """Inputs at the edges of the sorted fold: no vertex, one vertex, 31
+    module simples (wider than a 3-bit-per-entry int64 code holds), the
+    partial sl3-at-5 label reversed, and an E8 tree over vect."""
+    vect, level30 = catalog.vect(), catalog.verlinde_sl2(30)
+    vect_unit, unit30 = vect.basis(vect.names[0]), level30.basis(level30.names[0])
+    return {
+        "empty": FusionQuiver((), (), ring=vect),
+        "one_vertex": FusionQuiver(("a",), (), ring=vect),
+        "verlinde30_edge": FusionQuiver(("a", "b"), (Edge(0, 1, unit30),), ring=level30),
+        "sl3at5_reversed": FusionQuiver(("a", "b"), (Edge(1, 0, catalog.sl3at5_action()),)),
+        "e8_over_vect": FusionQuiver(
+            tuple(range(8)), tuple(Edge(u, v, vect_unit) for u, v in dynkin_edges("E8")), ring=vect
+        ),
+    }
+
+
+FOLD_CASES = {**{name: BUILTIN_QUIVERS[name] for name in FINITE_QUIVERS}, **fold_edge_cases()}
+
+
+class TestSortedFold:
+    """enumerate_indecomposables sorts and folds the root array in numpy;
+    the public per-root route is its reference."""
+
+    @pytest.mark.parametrize("name", FOLD_CASES)
+    def test_matches_public_route(self, name):
+        Q = FOLD_CASES[name]
+        U = unfold(Q)
+        assert enumerate_indecomposables(Q) == sorted(fold_root(U, r) for r in positive_roots_simply_laced(U))
+
+    @pytest.mark.parametrize("name", FOLD_CASES)
+    def test_equal_blocks_are_one_object(self, name):
+        out = enumerate_indecomposables(FOLD_CASES[name])
+        assert len({id(b) for x in out for b in x}) == len({b for x in out for b in x})
+
+    def test_edge_case_counts(self):
+        counts = {name: len(enumerate_indecomposables(Q)) for name, Q in fold_edge_cases().items()}
+        # a unit edge unfolds to one A2 per module simple: 31 x 3 roots at level 30
+        assert counts == {"empty": 0, "one_vertex": 1, "verlinde30_edge": 93,
+                          "sl3at5_reversed": 30, "e8_over_vect": 120}
 
 
 def loop_quivers():
