@@ -244,11 +244,8 @@ def cmd_mckay(args) -> int:
 
 def cmd_qnum(args) -> int:
     if args.free:
-        rows = []
-        for k in range(1, args.upto + 1):
-            rows.append(f"[{k}]_d = {qnum_free(k, 'd').pretty()}")
-            pretty_dp = qnum_free(k, "d'").pretty()
-            rows.append(f"[{k}]_d' = {pretty_dp}")
+        ks = range(1, args.upto + 1)
+        rows = [f"[{k}]_{c} = {qnum_free(k, c).pretty()}" for k in ks for c in ("d", "d'")]
         _emit(args, {"upto": args.upto, "rows": rows}, "\n".join(rows))
         return 0
     if args.object is None:
@@ -300,6 +297,17 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """The value of an option that counts: an integer of at least 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return k
+
+
 def _command(sub, name, fn, help, *files, fmt=True):
     """The subparser of one command: --builtin, a --<kind> option for each
     kind of file in `files`, and --format unless `fmt` is false."""
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "qnum", cmd_qnum, "two-colored quantum numbers", "ring")
     p.add_argument("--object")
-    p.add_argument("--upto", type=int, default=10)
+    p.add_argument("--upto", type=_positive_int, default=10)
     p.add_argument("--free", action="store_true")
 
     p = _command(sub, "rank2", cmd_rank2, "order of the rank-two Coxeter element", "ring")

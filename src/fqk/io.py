@@ -47,11 +47,7 @@ def module_to_dict(M: ModuleCategory) -> dict:
 
 
 def module_from_dict(d: dict, base: Path | None = None) -> ModuleCategory:
-    ring_spec = d["ring"]
-    if isinstance(ring_spec, str):
-        ring = ring_from_dict(_load_json(ring_spec, base))
-    else:
-        ring = ring_from_dict(ring_spec)
+    ring = ring_from_dict(_read(d["ring"], base)[0])
     return ModuleCategory.from_data(ring, _names(d["mnames"]), d["act"])
 
 
@@ -98,14 +94,10 @@ def quiver_to_dict(Q: FusionQuiver) -> dict:
 def quiver_from_dict(d: dict, base: Path | None = None) -> FusionQuiver:
     ring = None
     if "ring" in d:
-        spec = d["ring"]
-        ring = ring_from_dict(_load_json(spec, base) if isinstance(spec, str) else spec)
+        ring = ring_from_dict(_read(d["ring"], base)[0])
     module = None
     if "module" in d:
-        spec = d["module"]
-        module = module_from_dict(
-            _load_json(spec, base) if isinstance(spec, str) else spec, base
-        )
+        module = module_from_dict(*_read(d["module"], base))
         if ring is None:
             ring = module.ring
     edges = tuple(
@@ -119,23 +111,26 @@ def quiver_from_dict(d: dict, base: Path | None = None) -> FusionQuiver:
     )
 
 
-def _load_json(path, base: Path | None = None) -> dict:
-    p = Path(path)
-    if base is not None and not p.is_absolute():
-        p = base / p
-    return json.loads(p.read_text())
+def _read(spec, base: Path | None = None) -> tuple:
+    """An inline object as it is, or the JSON file a path names (a relative
+    path read from `base`), with the directory that the object's own
+    relative paths are read from."""
+    if not isinstance(spec, (str, Path)):
+        return spec, base
+    p = Path(spec) if base is None else base / spec
+    return json.loads(p.read_text()), p.parent
 
 
 def load_ring(path) -> FusionRing:
-    return ring_from_dict(_load_json(path))
+    return ring_from_dict(_read(path)[0])
 
 
 def load_module(path) -> ModuleCategory:
-    return module_from_dict(_load_json(path), Path(path).parent)
+    return module_from_dict(*_read(path))
 
 
 def load_quiver(path) -> FusionQuiver:
-    return quiver_from_dict(_load_json(path), Path(path).parent)
+    return quiver_from_dict(*_read(path))
 
 
 def dumps(obj_dict: dict) -> str:

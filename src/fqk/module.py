@@ -133,8 +133,8 @@ def validate_module(M: ModuleCategory) -> ValidationReport:
     if len(ring.N) != r or any(len(m) != r or any(len(row) != r for row in m) for m in ring.N):
         rep.violations.append("ring N is not a rank x rank x rank tensor")
         return rep
-    A, N = wide(M.tensor), wide(ring.tensor)
-    if not np.array_equal(A[ring.unit], np.eye(n, dtype=np.int64)):
+    A, N = wide(M.tensor, ring.tensor), wide(ring.tensor, M.tensor)
+    if not np.array_equal(A[ring.unit], np.eye(n)):
         rep.violations.append("act[unit] is not the identity")
 
     # act(S_i) act(S_j) against sum_k N[i][j][k] act(S_k), in blocks over i

@@ -22,6 +22,7 @@ from .errors import (
 from .module import ActionLabel, ModuleCategory, act_on, sign_class
 from .quiver import Edge, FusionQuiver, _check_vertex, _with_module, label_fpdim
 from .ring import (
+    FLOAT_EXACT,
     FusionRing,
     INFINITY,
     TOL,
@@ -41,8 +42,6 @@ from .unfold import ROOT_CLOSURE_CAP, enumerate_indecomposables
 # largest coefficient of the highest root of E8
 ROOT_ENTRY_MAX = 6
 
-# float64 holds every integer below this exactly
-FLOAT_EXACT = 2**53
 # entries of a sign-coherent quantum number are clipped to this before their
 # FP dimension is formed in floats (see sign_coherence)
 FLOAT_CLIP = 2**62

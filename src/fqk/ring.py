@@ -24,9 +24,9 @@ TOL = 1e-9
 POWER_ITER_TOL = 1e-10
 POWER_ITER_CAP = 10**6
 
-# products are formed in int64 only while every sum of them the kernels form
-# stays below this; larger data runs the same code on Python ints
-INT64_SAFE = 2**62
+# float64 holds every integer below this exactly, so an integer product runs
+# in float64 while every partial sum of it stays below; Python ints above
+FLOAT_EXACT = 2**53
 # entries per vectorized block of an axiom check, so memory stays O(r^3)
 BLOCK_ENTRIES = 2**16
 
@@ -82,16 +82,16 @@ def _derive_dual(names, unit, N):
 def exact_array(data, shape, width: int) -> np.ndarray:
     """Nested integer data as one read-only array of the given shape.
 
-    While `width` * max|entry|**2 < INT64_SAFE, sums of `width` products of
-    two entries cannot wrap in int64; the entries (then below 2**31) are
-    stored in the narrowest integer type and widened to int64 by `wide`.
-    Otherwise the array holds Python ints (dtype=object)."""
+    While `width` * max|entry|**2 < FLOAT_EXACT, every sum of `width`
+    products of two entries is exact in float64; the entries (then below
+    2**27) are stored in the narrowest integer type and widened to float64 by
+    `wide`.  Otherwise the array holds Python ints (dtype=object)."""
     try:
         a = np.array(data, dtype=np.int64).reshape(shape)
         big = max(int(a.max()), -int(a.min())) if a.size else 0
     except OverflowError:
-        big = INT64_SAFE
-    if width * big * big < INT64_SAFE:
+        big = FLOAT_EXACT
+    if width * big * big < FLOAT_EXACT:
         a = a.astype(np.int8 if big < 2**7 else np.int16 if big < 2**15 else np.int32)
     else:
         a = np.array(data, dtype=object).reshape(shape)
@@ -99,9 +99,10 @@ def exact_array(data, shape, width: int) -> np.ndarray:
     return a
 
 
-def wide(a: np.ndarray) -> np.ndarray:
-    """An exact_array with its entries as int64, ready for products."""
-    return a if a.dtype == object else a.astype(np.int64)
+def wide(a: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """An exact_array for products with `others`: float64, or Python ints if any holds them."""
+    dtype = object if any(x.dtype == object for x in (a, *others)) else float
+    return a.astype(dtype, copy=False)
 
 
 def row_blocks(rows: int, row_entries: int):
@@ -177,8 +178,7 @@ def validate(ring: FusionRing) -> ValidationReport:
     ]
 
     # unit law
-    eye = np.eye(r, dtype=np.int64)
-    left, right = T[unit] != eye, T[:, unit] != eye
+    left, right = T[unit] != np.eye(r), T[:, unit] != np.eye(r)
     for j, k in np.argwhere(left | right).tolist():
         if left[j, k]:
             rep.violations.append(f"unit law fails at N[unit][{j}][{k}]")
@@ -206,11 +206,9 @@ def validate(ring: FusionRing) -> ValidationReport:
     ]
     if dual[unit] != unit:
         rep.violations.append("dual(unit) != unit")
-    want = np.zeros((r, r), dtype=np.int64)
-    want[np.arange(r), d] = 1
-    rep.violations += [
+    rep.violations += [  # N[i][j][unit] is row dual(i) of the identity
         f"rigidity fails at N[{i}][{j}][unit]"
-        for i, j in np.argwhere(T[:, :, unit] != want).tolist()
+        for i, j in np.argwhere(T[:, :, unit] != np.eye(r)[d]).tolist()
     ]
     mirror = T[np.ix_(d, d, d)].transpose(1, 0, 2)
     rep.violations += [

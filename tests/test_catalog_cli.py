@@ -373,6 +373,24 @@ class TestCLI:
         assert replaced == capsys.readouterr().out
 
     @pytest.mark.parametrize(
+        "argv", [["classify"], ["enumerate", "--format", "json"]], ids=["classify", "enumerate"]
+    )
+    def test_nested_paths_resolve_from_their_own_file(self, tmp_path, capsys, argv):
+        """q.json names sub/m.json, whose ring "r.json" is read from sub/."""
+        Q = catalog.verlinde_l4_typeD_quiver()
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "r.json").write_text(dumps(ring_to_dict(Q.ring)))
+        module = {**module_to_dict(Q.module), "ring": "r.json"}
+        (tmp_path / "sub" / "m.json").write_text(dumps(module))
+        quiver = quiver_to_dict(Q)
+        del quiver["ring"]
+        (tmp_path / "q.json").write_text(dumps({**quiver, "module": "sub/m.json"}))
+        assert cli.main([*argv, "--quiver", str(tmp_path / "q.json")]) == 0
+        from_files = capsys.readouterr().out
+        assert cli.main([*argv, "--builtin", "verlinde_l4_typeD_quiver"]) == 0
+        assert from_files == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ('{"vertices": ["a"]', "Expecting"),
@@ -494,6 +512,17 @@ class TestCLI:
         assert cli.main(["qnum", "--free", "--upto", "4"]) == 0
         out = capsys.readouterr().out
         assert "d d' d" in out or "dd'd" in out.replace(" ", "") or "d" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--free"], ["--builtin", "fibonacci", "--object", "tau"]],
+        ids=["free", "in_ring"],
+    )
+    @pytest.mark.parametrize("upto", ["0", "-3"])
+    def test_qnum_upto_below_one_exit_2(self, capsys, argv, upto):
+        assert cli.main(["qnum", *argv, "--upto", upto]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --upto: '{upto}' is not an integer of at least 1" in err
 
     def test_qnum_in_ring(self, capsys):
         assert cli.main(

@@ -37,7 +37,8 @@ from fqk import (
 )
 from fqk.io import quiver_from_dict, quiver_to_dict
 from fqk.module import OrdinaryQuiver
-from fqk.reflect import FLOAT_EXACT, ROOT_ENTRY_MAX, _orbit_sizes
+from fqk.reflect import ROOT_ENTRY_MAX, _orbit_sizes
+from fqk.ring import FLOAT_EXACT
 from fqk.unfold import ADE_ROOT_COUNTS, _type_table, fold_root
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS

@@ -1,8 +1,9 @@
 """The integer-array kernel of the ring and module layers against the
 brute-force loops in `oracles.py`: identical reports on perturbed data,
-bit-identical FP dimensions, identical products, and exact arithmetic past
-int64."""
+bit-identical FP dimensions, identical products, and exact arithmetic on
+both sides of the float64 edge and past int64."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from fqk import (
     validate_module,
 )
 from fqk.module import label_matrix
-from fqk.ring import wide
+from fqk.ring import FLOAT_EXACT, wide
 
 from oracles import (
     loop_extended_orbits,
@@ -238,11 +239,17 @@ class TestProductAgainstLoop:
         assert rep.orbits == loop_extended_orbits(Q.ring, rep.phi_plus)
 
 
+# the largest structure constant a rank-5 ring can hold and still run its
+# products in float64: 5 * EDGE**2 < 2**53 <= 5 * (EDGE + 1)**2
+EDGE = math.isqrt((FLOAT_EXACT - 1) // 5)
+
+
 class TestExactness:
-    def big_ring(self):
-        """A rank-5 ring with structure constants 2**31 - 1 off the unit: each
-        product fits in int64, but sums of four of them wrap."""
-        r, big = 5, 2**31 - 1
+    def big_ring(self, big=2**31 - 1):
+        """A rank-5 ring with structure constants `big` off the unit and one
+        of them zero, so associativity fails; for the default, each product
+        fits in int64, but sums of four of them wrap."""
+        r = 5
         N = np.zeros((r, r, r), dtype=object)
         for i in range(r):
             N[0, i, i] = N[i, 0, i] = 1
@@ -270,10 +277,63 @@ class TestExactness:
         exact = R.tensor.reshape(25, 5).dot(R.tensor.reshape(5, 25))
         assert not np.array_equal(T.reshape(25, 5) @ T.reshape(5, 25), exact)
 
+    @pytest.mark.parametrize(
+        "big, dtype", [(EDGE, np.int32), (EDGE + 1, object)], ids=["below_2**53", "above_2**53"]
+    )
+    def test_float_edge_matches_oracle(self, big, dtype):
+        """Just below the edge the tensors stay narrow and the validators
+        multiply in float64; just above, they hold Python ints."""
+        assert 5 * EDGE**2 < FLOAT_EXACT <= 5 * (EDGE + 1) ** 2
+        R = self.big_ring(big)
+        M = regular_module(R)
+        P = ModuleCategory.from_data(R, R.names, M.act)  # its own exact_array
+        for T in (R.tensor, M.tensor, P.tensor):
+            assert T.dtype == dtype
+            assert wide(T).dtype == (np.float64 if dtype is np.int32 else object)
+        rep = validate(R)
+        assert any("associativity" in v for v in rep.violations)
+        same_report(rep, loop_validate(R))
+        for mod in (M, P):
+            rep = validate_module(mod)
+            assert any("action axiom" in v for v in rep.violations)
+            same_report(rep, loop_validate_module(mod))
+
+    def test_object_ring_narrow_module(self):
+        """Every simple acts on one module simple as 1, and X X = (2**60 + 1) X
+        - 2**60 Y: the module is valid, but only in exact arithmetic.  A float
+        module operand would turn (2**60 + 1) * 1 into 2**60, and the axiom
+        at (X, X) would read 0 = 1."""
+        big = 2**60
+        N = [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, big + 1, -big], [1, 0, 0]],
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        ]
+        R = FusionRing.from_data(("1", "X", "Y"), 0, N)
+        M = ModuleCategory.from_data(R, ("L",), [[[1]]] * 3)
+        assert R.tensor.dtype == object and M.tensor.dtype == np.int8
+        assert wide(M.tensor, R.tensor).dtype == object
+        same_report(validate(R), loop_validate(R))
+        rep = validate_module(M)
+        assert rep.ok and not rep.warnings
+        same_report(rep, loop_validate_module(M))
+
+    def test_narrow_ring_object_module(self):
+        """V1 acts as 2**60 + 1 over verlinde_sl2(1): only the axiom at
+        (V1, V1) fails.  A float ring operand would turn 1 * (2**60 + 1) into
+        2**60, and the axioms at (V0, V1) and (V1, V0) would fail too."""
+        R = catalog.verlinde_sl2(1)
+        M = ModuleCategory.from_data(R, ("L",), [[[1]], [[2**60 + 1]]])
+        assert R.tensor.dtype == np.int8 and M.tensor.dtype == object
+        assert wide(R.tensor, M.tensor).dtype == object
+        rep = validate_module(M)
+        assert rep.violations == ["action axiom fails at (i,j)=(1,1)"] and not rep.warnings
+        same_report(rep, loop_validate_module(M))
+
     def test_small_data_stays_narrow(self):
         assert catalog.rep_s4().tensor.dtype == np.int8
         assert regular_module(catalog.verlinde_sl2(6)).tensor.dtype == np.int8
-        assert wide(catalog.fibonacci().tensor[1].T).dtype == np.int64
+        assert wide(catalog.fibonacci().tensor[1].T).dtype == np.float64
 
     def test_act_on_above_int64(self):
         fib = catalog.fibonacci()
