@@ -82,30 +82,24 @@ class ModuleCategory:
         return exact_array(self.act, (r, n, n), max(r, n))
 
 
-def _graph_components(n, edges):
-    """Connected components of the undirected graph on range(n) whose edges
-    are (u, v, ...) tuples, in order of their least vertex: pairs of the
-    sorted vertex tuple and the list of the component's edges."""
-    adj = [set() for _ in range(n)]
-    for u, v, *_ in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen, comps, where = set(), [], [0] * n
-    for v in range(n):
-        if v in seen:
+def _connected_components(adj) -> list:
+    """The connected components of the undirected graph on range(len(adj))
+    whose vertex v has the neighbours adj[v] (any iterable, such as the keys
+    of a {neighbour: weight} map), as sorted vertex tuples in order of their
+    least vertex."""
+    seen, comps = [False] * len(adj), []
+    for v in range(len(adj)):
+        if seen[v]:
             continue
-        seen.add(v)
-        comp, stack = [], [v]
+        seen[v] = True
+        comp, stack = [v], [v]
         while stack:
-            u = stack.pop()
-            comp.append(u)
-            where[u] = len(comps)
-            fresh = adj[u] - seen
-            seen |= fresh
-            stack.extend(fresh)
-        comps.append((tuple(sorted(comp)), []))
-    for e in edges:
-        comps[where[e[0]]][1].append(e)
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
     return comps
 
 
@@ -153,7 +147,8 @@ def validate_module(M: ModuleCategory) -> ValidationReport:
 
     # connectedness of the union of action supports (warning only)
     support = (A > 0).any(axis=0)
-    if len(_graph_components(n, np.argwhere(support | support.T).tolist())) != 1:
+    adj = [np.flatnonzero(row).tolist() for row in support | support.T]
+    if len(_connected_components(adj)) != 1:
         rep.warnings.append("module appears decomposable (action support disconnected)")
 
     return rep

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .errors import InconsistentVerdict, MissingAction, NotReflectable, OutOfRan
 from .module import (
     ActionLabel,
     ModuleCategory,
-    _graph_components,
+    _connected_components,
     action_arrows,
     label_matrix,
     regular_module,
@@ -24,10 +24,13 @@ from .ring import (
     INFINITY,
     TOL,
     angle_label,
+    as_int,
     dual as ring_dual,
     fpdim,
     fpdim_of,
 )
+
+LABEL_ORDER_MEMO = 256  # distinct summed actions whose Coxeter label m is kept
 
 
 @dataclass(frozen=True)
@@ -122,22 +125,15 @@ def _add_labels(a, b):
 
 def normalize(Q: FusionQuiver) -> FusionQuiver:
     """Merge parallel same-direction edges by label addition and drop
-    zero-labeled edges; idempotent."""
+    zero-labeled edges; idempotent, and Q itself when nothing merges or drops."""
     merged: dict = {}
-    order: list = []
     for e in Q.edges:
         key = (e.source, e.target)
-        if key in merged:
-            merged[key] = _add_labels(merged[key], e.label)
-        else:
-            merged[key] = e.label
-            order.append(key)
-    edges = tuple(
-        Edge(s, t, merged[(s, t)])
-        for (s, t) in order
-        if not _zero_label(merged[(s, t)])
-    )
-    return replace(Q, edges=edges)
+        merged[key] = _add_labels(merged[key], e.label) if key in merged else e.label
+    kept = {key: label for key, label in merged.items() if not _zero_label(label)}
+    if len(kept) == len(Q.edges):
+        return Q
+    return replace(Q, edges=tuple(Edge(s, t, label) for (s, t), label in kept.items()))
 
 
 def dual_label(Q: FusionQuiver, label):
@@ -191,7 +187,24 @@ class LabeledGraph:
 @dataclass(frozen=True)
 class CoxeterGraph:
     vertices: tuple
-    edges: tuple  # (u, v, m) with u < v, m >= 3 or inf
+    edges: tuple  # (u, v, m) with u <= v, one per pair, m an integer >= 3 or INFINITY
+
+    def __post_init__(self):
+        """Reject an endpoint outside the vertices, a pair listed twice and an
+        m that is neither an integer >= 3 nor INFINITY (a bool is no integer)."""
+        vs = range(len(self.vertices))
+        try:
+            ok = all(
+                as_int(u) in vs and as_int(v) in vs and (m == INFINITY or as_int(m) >= 3)
+                for u, v, m in self.edges
+            )
+        except TypeError:
+            ok = False
+        if not ok or len({(u, v) if u <= v else (v, u) for u, v, _ in self.edges}) != len(self.edges):
+            raise OutOfRange(
+                f"Coxeter edges {self.edges}: an endpoint outside {vs}, a pair listed "
+                "twice or an m that is not an integer >= 3 or INFINITY"
+            )
 
 
 def labeled_graph(Q: FusionQuiver) -> LabeledGraph:
@@ -212,12 +225,15 @@ def labeled_graph(Q: FusionQuiver) -> LabeledGraph:
     )
 
 
+@lru_cache(maxsize=LABEL_ORDER_MEMO)
 def _label_order(rows):
     """The m with 2cos(pi/m) = FPdim of a label, read from its integer action
     A (rows): by Smith's theorem the one-edge unfolding, the bipartite graph
     with A[l'][l] edges l -> l', has spectral radius 2cos(pi/h) exactly when
     every component is A/D/E of Coxeter number h. INFINITY when none is; by
-    Perron-Frobenius an action has one or the other, so a mix is rejected."""
+    Perron-Frobenius an action has one or the other, so a mix is rejected.
+    `rows` is a tuple of tuples; the LABEL_ORDER_MEMO most recent actions
+    keep their m (a rejection is not kept)."""
     n = len(rows)
     hs = {c.coxeter_number for c in simply_laced_components(2 * n, action_arrows(rows, 0, n))}
     if len(hs) != 1:
@@ -234,7 +250,7 @@ def coxeter_graph(G) -> CoxeterGraph:
     if isinstance(G, LabeledGraph):
         weighted = [(u, v, angle_label(f)) for u, v, f in G.edges]
     else:
-        acc, order = {}, cache(_label_order)  # one call per distinct action
+        acc = {}
         for e, rows in zip(G.edges, G.edge_actions):
             rows = tuple(map(tuple, rows))
             if e.source > e.target:
@@ -243,7 +259,7 @@ def coxeter_graph(G) -> CoxeterGraph:
             if key in acc:
                 rows = tuple(tuple(x + y for x, y in zip(a, b)) for a, b in zip(acc[key], rows))
             acc[key] = rows
-        weighted = [(u, v, order(rows)) for (u, v), rows in acc.items()]
+        weighted = [(u, v, _label_order(rows)) for (u, v), rows in acc.items()]
     return CoxeterGraph(G.vertices, tuple(e for e in weighted if e[2] != 2))
 
 
@@ -291,29 +307,24 @@ def _posdef(gram) -> bool:
     return bool(np.diagonal(L).min() ** 2 >= TOL)
 
 
-def _coxeter_pattern(comp, edges):
+def _coxeter_pattern(comp, adj):
     """Name a connected Coxeter-graph component from the finite table: (name,
     Coxeter number, vertices in arm order), or None (infinite type).  Arm order
     walks a path end to end, a branched tree from the far end of its longest
     arm to the branch vertex, then out along the other arms, shortest first.
 
-    `comp` is the sorted vertex tuple; `edges` the (u, v, m) list restricted
-    to it."""
+    `comp` is the sorted vertex tuple; `adj[v]` the {neighbour: m} map of v."""
     n = len(comp)
-    if any(u == v for u, v, _ in edges):
+    if any(v in adj[v] for v in comp):
         return None  # a loop puts 2 - 2 FPdim <= 0 on the Gram diagonal
     if n == 1:
         return "A1", 2, comp
-    if any(m == INFINITY for _, _, m in edges):
-        return None
-    if len(edges) != n - 1:
-        return None  # a connected non-tree has a cycle: never finite
-    adj = {v: [] for v in comp}
-    for u, v, m in edges:
-        adj[u].append((v, m))
-        adj[v].append((u, m))
     degs = {v: len(adj[v]) for v in comp}
-    high = [(u, v, m) for u, v, m in edges if m > 3]
+    if sum(degs.values()) != 2 * (n - 1):
+        return None  # a connected non-tree has a cycle: never finite
+    high = [(u, v, m) for u in comp for v, m in adj[u].items() if u < v and m > 3]
+    if any(m == INFINITY for _, _, m in high):
+        return None
 
     if max(degs.values()) >= 4 or sum(1 for v in comp if degs[v] == 3) >= 2:
         return None
@@ -321,10 +332,10 @@ def _coxeter_pattern(comp, edges):
 
     def arms(c):  # shortest first, each walked outwards from c
         out = []
-        for w, _ in adj[c]:
+        for w in adj[c]:
             arm = [c, w]
             while degs[arm[-1]] == 2:
-                arm.append(next(x for x, _ in adj[arm[-1]] if x != arm[-2]))
+                arm.append(next(x for x in adj[arm[-1]] if x != arm[-2]))
             out.append(arm[1:])
         return sorted(out, key=len)
 
@@ -370,10 +381,10 @@ def _coxeter_pattern(comp, edges):
     return None
 
 
-def _component(comp, edges) -> Component:
-    """The Component on the sorted vertex tuple `comp` with the (u, v, m)
-    Coxeter-graph `edges`, named by _coxeter_pattern."""
-    named = _coxeter_pattern(comp, edges)
+def _component(comp, adj) -> Component:
+    """The Component on the sorted vertex tuple `comp` of the Coxeter graph
+    with the {neighbour: m} maps `adj`, named by _coxeter_pattern."""
+    named = _coxeter_pattern(comp, adj)
     if named is None:
         return Component(comp, "infinite", INFINITY, INFINITY)
     name, h, order = named
@@ -386,12 +397,14 @@ def simply_laced_components(n, arrows):
     pair, in order of their least vertex. As a Coxeter graph a single edge
     has m = 3 and a multiple one m = INFINITY, so a component with a loop or
     a multiple edge is infinite."""
-    acc = {}
-    for s, t, m in arrows:
-        key = (min(s, t), max(s, t))
-        acc[key] = acc.get(key, 0) + m
-    for comp, sub in _graph_components(n, [(u, v, m) for (u, v), m in acc.items()]):
-        yield _component(comp, [(u, v, 3 if m == 1 else INFINITY) for u, v, m in sub])
+    adj = [{} for _ in range(n)]
+    for s, t, k in arrows:
+        adj[s][t] = adj[t][s] = adj[s].get(t, 0) + k
+    for nbrs in adj:
+        for w, k in nbrs.items():
+            nbrs[w] = 3 if k == 1 else INFINITY
+    for comp in _connected_components(adj):
+        yield _component(comp, adj)
 
 
 def classify_coxeter(G) -> Classification:
@@ -400,15 +413,18 @@ def classify_coxeter(G) -> Classification:
     match against positive definiteness of the associated symmetric form."""
     if isinstance(G, LabeledGraph):
         G = coxeter_graph(G)
+    adj = [{} for _ in G.vertices]
+    for u, v, m in G.edges:
+        adj[u][v] = adj[v][u] = m
     out = []
-    for comp, sub in _graph_components(len(G.vertices), G.edges):
+    for comp in _connected_components(adj):
         idx = {v: i for i, v in enumerate(comp)}
-        gram = [[2.0 if i == j else 0.0 for j in comp] for i in comp]
-        for u, v, m in sub:
-            f = 2.0 if m == INFINITY else 2 * math.cos(math.pi / m)
-            gram[idx[u]][idx[v]] -= f
-            gram[idx[v]][idx[u]] -= f
-        c = _component(comp, sub)
+        gram = 2.0 * np.eye(len(comp))
+        for u in comp:
+            for v, m in adj[u].items():
+                f = 2.0 if m == INFINITY else 2 * math.cos(math.pi / m)
+                gram[idx[u], idx[v]] -= f * (1 + (u == v))  # a loop: twice on the diagonal
+        c = _component(comp, adj)
         if c.finite != _posdef(gram):
             raise InconsistentVerdict(
                 f"pattern match and positive definiteness disagree on {comp}"

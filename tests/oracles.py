@@ -11,17 +11,21 @@ shadow.  The batched closure oracles in `fqk.reflect` must return what the
 vector-by-vector closure below returns, or raise the same error, and its
 batched rank-two orbit the sizes of the one-simple-at-a-time orbit below.
 Both run on the tuple reflection here, not on any reflection of `fqk.reflect`.
+The component recognizer in `fqk.quiver`, which reads one adjacency map per
+vertex, must name every component as the edge-list recognizer below does,
+arm order included.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import replace
 
 import numpy as np
 
-from fqk.errors import InfiniteComponent, InfiniteType, MissingAction, OutOfRange
+from fqk.errors import InconsistentVerdict, InfiniteComponent, InfiniteType, MissingAction, OutOfRange
 from fqk.module import label_matrix, module_fpdims
-from fqk.quiver import _with_module, label_fpdim
+from fqk.quiver import Classification, Component, _posdef, _with_module, label_fpdim
 from fqk.reflect import ROOT_ENTRY_MAX
 from fqk.ring import INFINITY, FPVector, ValidationReport, dual, fpdim, perron_eigenpair, sub
 
@@ -383,3 +387,126 @@ def loop_extended_positive_roots(Q) -> tuple:
     orbits = loop_extended_orbits(ring, phi_plus)
     extended = tuple(sorted({x for _, mults in orbits for x in mults}))
     return phi_plus, extended, orbits
+
+
+def _edge_list_components(n, edges):
+    """Connected components of the undirected graph on range(n) whose edges
+    are (u, v, ...) tuples, in order of their least vertex: pairs of the
+    sorted vertex tuple and the list of the component's edges."""
+    adj = [set() for _ in range(n)]
+    for u, v, *_ in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, comps, where = set(), [], [0] * n
+    for v in range(n):
+        if v in seen:
+            continue
+        seen.add(v)
+        comp, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            where[u] = len(comps)
+            fresh = adj[u] - seen
+            seen |= fresh
+            stack.extend(fresh)
+        comps.append((tuple(sorted(comp)), []))
+    for e in edges:
+        comps[where[e[0]]][1].append(e)
+    return comps
+
+
+def _edge_list_pattern(comp, edges):
+    """(name, Coxeter number, arm order) of a connected component given by
+    its sorted vertex tuple and its (u, v, m) edges, or None when infinite."""
+    n = len(comp)
+    if any(u == v for u, v, _ in edges):
+        return None
+    if n == 1:
+        return "A1", 2, comp
+    if any(m == INFINITY for _, _, m in edges) or len(edges) != n - 1:
+        return None
+    adj = {v: [] for v in comp}
+    for u, v, m in edges:
+        adj[u].append((v, m))
+        adj[v].append((u, m))
+    degs = {v: len(adj[v]) for v in comp}
+    high = [(u, v, m) for u, v, m in edges if m > 3]
+    if max(degs.values()) >= 4 or sum(1 for v in comp if degs[v] == 3) >= 2:
+        return None
+    branch = [v for v in comp if degs[v] == 3]
+
+    def arms(c):
+        out = []
+        for w, _ in adj[c]:
+            arm = [c, w]
+            while degs[arm[-1]] == 2:
+                arm.append(next(x for x, _ in adj[arm[-1]] if x != arm[-2]))
+            out.append(arm[1:])
+        return sorted(out, key=len)
+
+    if branch:
+        if high:
+            return None
+        short, middle, long = arms(branch[0])
+        order = (*long[::-1], branch[0], *short, *middle)
+        a, b, c = map(len, (short, middle, long))
+        if a == b == 1:
+            return f"D{n}", 2 * n - 2, order
+        if (a, b) == (1, 2) and c in (2, 3, 4):
+            return (*{2: ("E6", 12), 3: ("E7", 18), 4: ("E8", 30)}[c], order)
+        return None
+    end = min(v for v in comp if degs[v] == 1)
+    order = (end, *arms(end)[0])
+    if not high:
+        return f"A{n}", n + 1, order
+    if len(high) > 1:
+        return None
+    u, v, m = high[0]
+    at_leaf = degs[u] == 1 or degs[v] == 1
+    if m == 4:
+        return (f"B{n}", 2 * n, order) if at_leaf else ("F4", 12, order) if n == 4 else None
+    if m == 5 and at_leaf:
+        return {2: ("I2(5)", 5, order), 3: ("H3", 10, order), 4: ("H4", 30, order)}.get(n)
+    if n == 2:
+        return ("G2", 6, order) if m == 6 else (f"I2({m})", m, order)
+    return None
+
+
+def _edge_list_component(comp, edges) -> Component:
+    named = _edge_list_pattern(comp, edges)
+    if named is None:
+        return Component(comp, "infinite", INFINITY, INFINITY)
+    name, h, order = named
+    return Component(comp, name, h, len(comp) * h // 2, order)
+
+
+def edge_list_simply_laced_components(n, arrows) -> list:
+    """quiver.simply_laced_components from the edge list: multiplicities
+    summed per unordered pair, 1 read as m = 3 and more as m = INFINITY."""
+    acc = {}
+    for s, t, k in arrows:
+        key = (min(s, t), max(s, t))
+        acc[key] = acc.get(key, 0) + k
+    return [
+        _edge_list_component(comp, [(u, v, 3 if k == 1 else INFINITY) for u, v, k in sub])
+        for comp, sub in _edge_list_components(n, [(u, v, k) for (u, v), k in acc.items()])
+    ]
+
+
+def edge_list_classify_coxeter(G) -> Classification:
+    """quiver.classify_coxeter from the edge list of a Coxeter graph, with the
+    same positive-definiteness cross-check."""
+    out = []
+    for comp, sub in _edge_list_components(len(G.vertices), G.edges):
+        idx = {v: i for i, v in enumerate(comp)}
+        gram = [[2.0 if i == j else 0.0 for j in comp] for i in comp]
+        for u, v, m in sub:
+            f = 2.0 if m == INFINITY else 2 * math.cos(math.pi / m)
+            gram[idx[u]][idx[v]] -= f
+            gram[idx[v]][idx[u]] -= f
+        c = _edge_list_component(comp, sub)
+        if c.finite != _posdef(gram):
+            raise InconsistentVerdict(f"pattern match and positive definiteness disagree on {comp}")
+        out.append(c)
+    return Classification(tuple(out))

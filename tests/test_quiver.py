@@ -1,13 +1,16 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqk import (
     ActionLabel,
     Edge,
     FusionQuiver,
+    InconsistentVerdict,
     MissingAction,
     NotReflectable,
     OutOfRange,
@@ -25,10 +28,11 @@ from fqk import (
     regular_module,
     unfold,
 )
-from fqk.quiver import CoxeterGraph, _label_order, _posdef
+from fqk.quiver import CoxeterGraph, _label_order, _posdef, simply_laced_components
 from fqk.ring import INFINITY, angle_label, fpdim
 
 from conftest import BUILTIN_QUIVERS
+from oracles import edge_list_classify_coxeter, edge_list_simply_laced_components
 
 IDENTITY3 = ActionLabel.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -111,6 +115,20 @@ class TestBoundary:
         with pytest.raises(OutOfRange):
             unfold(catalog.fib_edge_quiver(), catalog.verlinde_typeD(4))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [((0, 1, 2),), ((0, 1, 4.5),), ((0, 1, -3),), ((0, 1, 2.5),), ((0, 1, 0),),
+         ((0, 1, True),), ((0, 2, 3),), ((-1, 0, 3),), ((0, 1.0, 3),),
+         ((0, 1, 3), (1, 0, 3)), ((0, 1, 3), (0, 1, 4)), ((1, 1, 3), (1, 1, 3))],
+        ids=["m2", "m4.5", "m-3", "m2.5", "m0", "m_bool", "endpoint_2", "endpoint_-1",
+             "endpoint_float", "pair_reversed", "pair_twice", "loop_twice"],
+    )
+    def test_coxeter_edge_outside_the_table(self, edges):
+        # at the parent m = 2, -3 and 2.5 named A2, 4.5 named I2(4), 0 divided
+        # by zero and True failed the positive-definiteness cross-check
+        with pytest.raises(OutOfRange):
+            CoxeterGraph(("a", "b"), edges)
+
     def test_built_quiver_resolves_no_action_again(self, monkeypatch):
         import fqk.module
 
@@ -122,9 +140,13 @@ class TestBoundary:
         is_finite_type(Q)
         enumerate_indecomposables(Q)
         enumerate_by_closure(Q)
+        assert normalize(Q) is Q  # already normal: nothing merges, nothing is resolved
         assert calls == []
-        normalize(Q)  # a new quiver resolves its edges once
-        assert len(calls) == len(Q.edges)
+        tau, zero = (0, 1), (0, 0)
+        Q = replace(Q, edges=Q.edges + (Edge(0, 1, tau), Edge(0, 3, zero)))
+        calls.clear()
+        N = normalize(Q)  # a merged or dropped edge gives a new quiver: its edges resolve once
+        assert len(N.edges) == 3 and len(calls) == len(N.edges)
 
 
 class TestNormalize:
@@ -284,6 +306,17 @@ class TestGammaFromActions:
             with pytest.raises(OutOfRange, match=re.escape(hs)):
                 decide(Q)
 
+    def test_memo_keeps_gamma_and_never_a_rejection(self):
+        Q = catalog.fib_h4_quiver()
+        first = coxeter_graph(Q)
+        misses = _label_order.cache_info().misses
+        assert coxeter_graph(Q) == first
+        assert _label_order.cache_info().misses == misses  # every action was remembered
+        mixed = FusionQuiver(("a", "b"), (Edge(0, 1, ActionLabel.from_rows([[1, 0], [0, 2]])),))
+        for _ in range(2):
+            with pytest.raises(OutOfRange, match=re.escape("[3, inf]")):
+                coxeter_graph(mixed)
+
     def test_opposite_edges_sum_with_the_transpose(self):
         # N + N^T is two A2 blocks, m = 3; 2N would be mixed
         N = ActionLabel.from_rows([[0, 1], [0, 0]])
@@ -363,6 +396,77 @@ class TestClassifier:
                 vertices=tuple(str(i) for i in range(n)), edges=tuple(edges)
             )
             classify_coxeter(g)  # must not raise
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# arm lengths of D4, D5, D7, E6, E7, E8 and of the affine E~6, E~7, E~8, in several orders
+STAR_ARMS = [(1, 1, 1), (1, 2, 1), (4, 1, 1), (1, 2, 2), (2, 1, 3), (4, 2, 1), (2, 2, 2), (3, 1, 3), (1, 5, 2)]
+
+
+@st.composite
+def multigraphs(draw, budget=40):
+    """(n, arrows): an undirected multigraph on at most `budget` vertices as
+    (s, t, multiplicity) arrows. It is a disjoint union of stars with up to
+    four arms, so paths, branch vertices and (from STAR_ARMS) D/E shapes and
+    their affine extensions. Each star gets up to two extra arrows inside it,
+    of multiplicity 1 or 2: a loop, a parallel edge or a chord closing a
+    cycle. Vertices are renumbered at random, and the arrows come in random
+    order and direction."""
+    edges, n = [], 0
+    while n < budget and (n == 0 or draw(st.booleans())):
+        start = centre = n
+        n += 1
+        arms = st.one_of(st.sampled_from(STAR_ARMS), st.lists(st.integers(0, 5), min_size=1, max_size=4))
+        for length in draw(arms):
+            prev = centre
+            for _ in range(min(length, budget - n)):
+                edges.append((prev, n, 1))
+                prev, n = n, n + 1
+        piece = st.integers(start, n - 1)
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            edges.append((draw(piece), draw(piece), draw(st.integers(1, 2))))
+    name = draw(st.permutations(range(n)))
+    return n, [
+        (name[u], name[v], k) if draw(st.booleans()) else (name[v], name[u], k)
+        for u, v, k in draw(st.permutations(edges))
+    ]
+
+
+@st.composite
+def coxeter_graphs(draw):
+    """The first arrow of each vertex pair of a multigraph as a Coxeter edge,
+    m = 3 but on up to three edges."""
+    n, arrows = draw(multigraphs())
+    pairs = {}
+    for s, t, _ in arrows:
+        pairs.setdefault(frozenset((s, t)), [s, t, 3])
+    edges = list(pairs.values())
+    for _ in range(draw(st.integers(0, 3)) if edges else 0):
+        draw(st.sampled_from(edges))[2] = draw(st.sampled_from([4, 5, 6, 7, 12, INFINITY]))
+    return CoxeterGraph(tuple(range(n)), tuple(map(tuple, edges)))
+
+
+class TestRecognizerAgainstEdgeLists:
+    """The one-adjacency recognizer names each component as the edge-list
+    recognizer in oracles.py does: vertices, type, Coxeter number, root
+    count and arm order."""
+
+    @PROPERTY
+    @given(multigraphs())
+    def test_simply_laced_components(self, graph):
+        n, arrows = graph
+        assert list(simply_laced_components(n, arrows)) == edge_list_simply_laced_components(n, arrows)
+
+    @PROPERTY
+    @given(coxeter_graphs())
+    def test_classify_coxeter(self, G):
+        try:
+            want = edge_list_classify_coxeter(G)
+        except InconsistentVerdict:
+            with pytest.raises(InconsistentVerdict):
+                classify_coxeter(G)
+        else:
+            assert classify_coxeter(G) == want
 
 
 def gram(graph):
