@@ -46,11 +46,9 @@ from .quiver import (
     CoxeterGraph,
     Edge,
     FusionQuiver,
-    LabeledGraph,
     admissible_sink_ordering,
     classify_coxeter,
     coxeter_graph,
-    labeled_graph,
     normalize,
     reflect_quiver,
 )
@@ -73,6 +71,7 @@ from .reflect import (
     bilinear_form,
     enumerate_by_closure,
     extended_positive_roots,
+    labeled_graph,
     matrix_power_identity_check,
     qnum_free,
     qnum_in_ring,

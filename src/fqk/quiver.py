@@ -1,5 +1,5 @@
-"""Fusion quivers, normalization, sink/source reflection, the FP-labeled
-graph, the Coxeter graph, and the finite-Coxeter-type classifier."""
+"""Fusion quivers, normalization, sink/source reflection, the Coxeter graph
+read from integer actions, and the finite-Coxeter-type classifier."""
 
 from __future__ import annotations
 
@@ -18,17 +18,7 @@ from .module import (
     label_matrix,
     regular_module,
 )
-from .ring import (
-    FPVector,
-    FusionRing,
-    INFINITY,
-    TOL,
-    angle_label,
-    as_int,
-    dual as ring_dual,
-    fpdim,
-    fpdim_of,
-)
+from .ring import FusionRing, INFINITY, TOL, as_int, dual as ring_dual
 
 LABEL_ORDER_MEMO = 256  # distinct summed actions whose Coxeter label m is kept
 
@@ -142,12 +132,6 @@ def dual_label(Q: FusionQuiver, label):
     return ring_dual(Q.ring, label)
 
 
-def label_fpdim(Q: FusionQuiver, label, fpv: FPVector | None = None) -> float:
-    if isinstance(label, ActionLabel):
-        return label.fpdim()
-    return fpdim_of(Q.ring, label, fpv)
-
-
 def _check_vertex(Q: FusionQuiver, v: int) -> None:
     if not 0 <= v < Q.nv:
         raise OutOfRange(f"vertex {v} outside 0..{Q.nv - 1}")
@@ -179,12 +163,6 @@ def reflect_quiver(Q: FusionQuiver, v: int) -> FusionQuiver:
 
 
 @dataclass(frozen=True)
-class LabeledGraph:
-    vertices: tuple
-    edges: tuple  # (u, v, real label) with u < v
-
-
-@dataclass(frozen=True)
 class CoxeterGraph:
     vertices: tuple
     edges: tuple  # (u, v, m) with u <= v, one per pair, m an integer >= 3 or INFINITY
@@ -207,24 +185,6 @@ class CoxeterGraph:
             )
 
 
-def labeled_graph(Q: FusionQuiver) -> LabeledGraph:
-    """The underlying undirected graph with each edge labeled by the FP
-    dimension of its label; opposite directed edges are combined."""
-    fpv = fpdim(Q.ring) if Q.ring is not None else None
-    acc: dict = {}
-    order = []
-    for e in Q.edges:
-        u, v = sorted((e.source, e.target))
-        key = (u, v)
-        if key not in acc:
-            acc[key] = 0.0
-            order.append(key)
-        acc[key] += label_fpdim(Q, e.label, fpv)
-    return LabeledGraph(
-        vertices=Q.vertices, edges=tuple((u, v, acc[(u, v)]) for u, v in order)
-    )
-
-
 @lru_cache(maxsize=LABEL_ORDER_MEMO)
 def _label_order(rows):
     """The m with 2cos(pi/m) = FPdim of a label, read from its integer action
@@ -241,26 +201,23 @@ def _label_order(rows):
     return hs.pop()
 
 
-def coxeter_graph(G) -> CoxeterGraph:
-    """The graph Gamma of a quiver or a labeled graph: each edge of the
-    underlying undirected graph weighted by the m with 2cos(pi/m) = FPdim of
-    its label, m = 2 dropped. On a quiver, m is read from the integer action
-    summed over the vertex pair (A for u -> v, its transpose for v -> u);
-    on a labeled graph, m is read from the real label."""
-    if isinstance(G, LabeledGraph):
-        weighted = [(u, v, angle_label(f)) for u, v, f in G.edges]
-    else:
-        acc = {}
-        for e, rows in zip(G.edges, G.edge_actions):
-            rows = tuple(map(tuple, rows))
-            if e.source > e.target:
-                rows = tuple(zip(*rows))
-            key = (min(e.source, e.target), max(e.source, e.target))
-            if key in acc:
-                rows = tuple(tuple(x + y for x, y in zip(a, b)) for a, b in zip(acc[key], rows))
-            acc[key] = rows
-        weighted = [(u, v, _label_order(rows)) for (u, v), rows in acc.items()]
-    return CoxeterGraph(G.vertices, tuple(e for e in weighted if e[2] != 2))
+def coxeter_graph(Q: FusionQuiver) -> CoxeterGraph:
+    """The graph Gamma of a quiver: each edge of the underlying undirected
+    graph weighted by the m with 2cos(pi/m) = FPdim of its label, m = 2
+    dropped, in first-appearance order over Q.edges. m is read from the
+    integer action summed over the vertex pair (A for u -> v, its transpose
+    for v -> u)."""
+    acc = {}
+    for e, rows in zip(Q.edges, Q.edge_actions):
+        rows = tuple(map(tuple, rows))
+        if e.source > e.target:
+            rows = tuple(zip(*rows))
+        key = (min(e.source, e.target), max(e.source, e.target))
+        if key in acc:
+            rows = tuple(tuple(x + y for x, y in zip(a, b)) for a, b in zip(acc[key], rows))
+        acc[key] = rows
+    weighted = [(u, v, _label_order(rows)) for (u, v), rows in acc.items()]
+    return CoxeterGraph(Q.vertices, tuple(e for e in weighted if e[2] != 2))
 
 
 @dataclass(frozen=True)
@@ -407,12 +364,10 @@ def simply_laced_components(n, arrows):
         yield _component(comp, adj)
 
 
-def classify_coxeter(G) -> Classification:
-    """Classify each connected component of a Coxeter graph (or labeled
-    graph) as a named finite type or infinite, cross-checking the pattern
-    match against positive definiteness of the associated symmetric form."""
-    if isinstance(G, LabeledGraph):
-        G = coxeter_graph(G)
+def classify_coxeter(G: CoxeterGraph) -> Classification:
+    """Classify each connected component of a Coxeter graph as a named finite
+    type or infinite, cross-checking the pattern match against positive
+    definiteness of the associated symmetric form."""
     adj = [{} for _ in G.vertices]
     for u, v, m in G.edges:
         adj[u][v] = adj[v][u] = m

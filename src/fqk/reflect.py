@@ -1,5 +1,6 @@
 """The independent oracles: the ring-valued bilinear form of a fusion quiver,
-the reflection action on dimension vectors and its closures, two-colored
+its real form and the float route to the Coxeter graph Gamma, the
+reflection action on dimension vectors and its closures, two-colored
 quantum numbers (free and specialized), sign coherence and the rank-two
 order.  They re-derive what the main path (ring, module, quiver, unfold)
 decides; no module on that path imports this one."""
@@ -8,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .errors import (
     SignCoherenceViolation,
 )
 from .module import ActionLabel, ModuleCategory, act_on, sign_class
-from .quiver import Edge, FusionQuiver, _check_vertex, _with_module, label_fpdim
+from .quiver import CoxeterGraph, Edge, FusionQuiver, _check_vertex, _with_module
 from .ring import (
     FLOAT_EXACT,
+    FPVector,
     FusionRing,
     INFINITY,
     TOL,
@@ -82,6 +83,12 @@ def bilinear_form(Q: FusionQuiver) -> BilinearFormQ:
     return BilinearFormQ(ring=ring, entries=tuple(tuple(r) for r in entries))
 
 
+def label_fpdim(Q: FusionQuiver, label, fpv: FPVector | None = None) -> float:
+    if isinstance(label, ActionLabel):
+        return label.fpdim()
+    return fpdim_of(Q.ring, label, fpv)
+
+
 def real_bilinear_form(Q: FusionQuiver):
     """The real symmetric form: 2 on the diagonal, minus the FP dimension of
     the label off it.  Available in partial mode too."""
@@ -90,9 +97,20 @@ def real_bilinear_form(Q: FusionQuiver):
     np.fill_diagonal(g, 2.0)
     for e in Q.edges:
         f = label_fpdim(Q, e.label, fpv)
-        g[e.source][e.target] -= f
-        g[e.target][e.source] -= f
+        g[e.source, e.target] -= f
+        g[e.target, e.source] -= f
     return g
+
+
+def labeled_graph(Q: FusionQuiver) -> CoxeterGraph:
+    """Gamma by the float route, equal to quiver.coxeter_graph(Q): each
+    vertex pair's summed FP dimension f, read off the real form (-f off the
+    diagonal, 2 - 2f on it for a loop), weighted by the m with
+    2cos(pi/m) = f, m = 2 dropped, in first-appearance order over Q.edges."""
+    g = real_bilinear_form(Q)
+    pairs = dict.fromkeys((min(e.source, e.target), max(e.source, e.target)) for e in Q.edges)
+    weighted = [(u, v, angle_label((2 - g[u, v]) / 2 if u == v else -g[u, v])) for u, v in pairs]
+    return CoxeterGraph(Q.vertices, tuple(e for e in weighted if e[2] != 2))
 
 
 def _blocks(Q: FusionQuiver, at: int | None = None):
@@ -212,14 +230,24 @@ class NCPolynomial:
         return s.replace("+ -", "- ")
 
 
-@lru_cache(maxsize=None)
+# the last free quantum numbers computed: (k, [k-1], [k]), each in both
+# colors (indexed by D, DP), so that ascending requests take one step each;
+# the recursion starts from [-1] = -1 and [0] = 0.  The tuple is replaced
+# whole, so a concurrent caller steps from an older top, never a torn one.
+_FREE_START = (0, (-NCPolynomial.one(),) * 2, (NCPolynomial.zero(),) * 2)
+_free_top = _FREE_START
+
+
 def _qnum_free_pos(k: int, color: int) -> NCPolynomial:
-    if k == 0:
-        return NCPolynomial.zero()
-    if k == 1:
-        return NCPolynomial.one()
-    letter = NCPolynomial.letter(color)
-    return letter * _qnum_free_pos(k - 1, 1 - color) - _qnum_free_pos(k - 2, color)
+    """[k] for k >= 0 by [j]_c = c [j-1]_c' - [j-2]_c, stepped up in a loop
+    from the last result (from the start when k lies below it), so the
+    recursion depth does not grow with k and only two levels are kept."""
+    global _free_top
+    j, prev, cur = _free_top if _free_top[0] <= k else _FREE_START
+    for _ in range(j, k):
+        prev, cur = cur, tuple(NCPolynomial.letter(c) * cur[1 - c] - prev[c] for c in (D, DP))
+    _free_top = (k, prev, cur)
+    return cur[color]
 
 
 def qnum_free(k: int, color: str = "d") -> NCPolynomial:

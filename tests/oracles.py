@@ -25,8 +25,8 @@ import numpy as np
 
 from fqk.errors import InconsistentVerdict, InfiniteComponent, InfiniteType, MissingAction, OutOfRange
 from fqk.module import label_matrix, module_fpdims
-from fqk.quiver import Classification, Component, _posdef, _with_module, label_fpdim
-from fqk.reflect import ROOT_ENTRY_MAX
+from fqk.quiver import Classification, Component, _posdef, _with_module
+from fqk.reflect import ROOT_ENTRY_MAX, label_fpdim
 from fqk.ring import INFINITY, FPVector, ValidationReport, dual, fpdim, perron_eigenpair, sub
 
 

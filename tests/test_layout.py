@@ -31,6 +31,18 @@ def test_main_path_does_not_import_reflect(name):
     assert not imported & {".reflect", "fqk.reflect"}, name
 
 
+FLOAT_ROUTE = {"angle_label", "fpdim", "fpdim_of", "perron_eigenpair", "label_fpdim"}
+
+
+@pytest.mark.parametrize("name", ("quiver", "unfold"))
+def test_gamma_modules_import_no_float_route(name):
+    """Gamma's modules build it from integer actions only: they import none
+    of the FP-dimension functions."""
+    path = Path(fqk.__file__).parent / f"{name}.py"
+    imported = {m.rpartition(".")[2] for m in _imported_modules(ast.parse(path.read_text()))}
+    assert not imported & FLOAT_ROUTE, name
+
+
 def test_enumeration_lives_in_unfold():
     for fn in (fqk.enumerate_indecomposables, fqk.fold_root, fqk.unfold_coords):
         assert fn.__module__ == "fqk.unfold"

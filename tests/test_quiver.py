@@ -24,6 +24,7 @@ from fqk import (
     labeled_graph,
     normalize,
     rank_two_order,
+    real_bilinear_form,
     reflect_quiver,
     regular_module,
     unfold,
@@ -233,6 +234,7 @@ class TestReflectQuiver:
             reflect_quiver(catalog.fib_h4_quiver(), v)
 
     def test_labeled_graph_invariant(self):
+        # reflection replaces labels by their duals, which keeps every FP dimension
         for Q in BUILTIN_QUIVERS.values():
             sinks = [
                 v
@@ -241,16 +243,15 @@ class TestReflectQuiver:
                 or all(e.target != v for e in Q.edges)
             ]
             for v in sinks:
-                g1 = labeled_graph(Q)
-                g2 = labeled_graph(reflect_quiver(Q, v))
-                assert [e[:2] for e in g1.edges] == [e[:2] for e in g2.edges]
-                for a, b in zip(g1.edges, g2.edges):
-                    assert a[2] == pytest.approx(b[2], abs=1e-9)
+                R = reflect_quiver(Q, v)
+                assert labeled_graph(R) == labeled_graph(Q)
+                assert real_bilinear_form(R) == pytest.approx(real_bilinear_form(Q), abs=1e-9)
 
 
 class TestGamma:
-    def test_fibonacci_edge_is_i25(self):
-        cls = classify_coxeter(labeled_graph(catalog.fib_edge_quiver()))
+    @pytest.mark.parametrize("route", [coxeter_graph, labeled_graph])
+    def test_fibonacci_edge_is_i25(self, route):
+        cls = classify_coxeter(route(catalog.fib_edge_quiver()))
         assert cls.type_names() == ("I2(5)",)
         assert cls.components[0].coxeter_number == 5
 
@@ -267,16 +268,13 @@ class TestGamma:
         assert cls.type_names() == ("H4",)
         assert cls.components[0].coxeter_number == 30
 
-    def test_m2_edges_dropped(self):
-        # a quiver with an FPdim-0 label cannot be normalized in, so check
-        # directly on a labeled graph with a 0 label
-        from fqk.quiver import LabeledGraph
-
-        g = LabeledGraph(vertices=("a", "b"), edges=((0, 1, 0.0),))
-        cg = coxeter_graph(g)
-        assert cg.edges == ()
-        cls = classify_coxeter(cg)
-        assert cls.type_names() == ("A1", "A1")
+    @pytest.mark.parametrize("route", [coxeter_graph, labeled_graph])
+    def test_m2_edges_dropped(self, route):
+        # an un-normalized quiver keeps its zero-labeled edge, of m = 2
+        fib = catalog.fibonacci()
+        g = route(FusionQuiver(("a", "b"), (Edge(0, 1, fib.zero()),), ring=fib))
+        assert g.edges == ()
+        assert classify_coxeter(g).type_names() == ("A1", "A1")
 
 
 class TestGammaFromActions:
@@ -501,6 +499,50 @@ def affine_d(n):
     """D~n on n + 1 vertices: a path of n - 1 with a leaf at each inner end."""
     edges = [(i, i + 1, 3) for i in range(n - 2)] + [(1, n - 1, 3), (n - 3, n, 3)]
     return CoxeterGraph(vertices=tuple(str(i) for i in range(n + 1)), edges=tuple(edges))
+
+
+# (ring, module) pairs for labeled_trees; None is the regular module
+FLOAT_ROUTE_MODULES = (
+    [(R, None) for R in (catalog.fibonacci(), catalog.rep_s3(), catalog.rep_s4())]
+    + [(catalog.verlinde_sl2(L), None) for L in range(2, 9)]
+    + [(catalog.verlinde_sl2(4), catalog.verlinde_typeD(4))]
+)
+
+
+@st.composite
+def labeled_trees(draw):
+    """A quiver on a random tree of up to 8 vertices over one of
+    FLOAT_ROUTE_MODULES, each edge in a random direction with a simple or a
+    zero label. Some get two more edges on one tree pair, one each way, and
+    some a loop; the edges come in random order."""
+    R, M = draw(st.sampled_from(FLOAT_ROUTE_MODULES))
+    label = st.one_of(st.integers(0, R.rank - 1).map(R.basis), st.just(R.zero()))
+    n = draw(st.integers(1, 8))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges = [Edge(s, t, draw(label)) if draw(st.booleans()) else Edge(t, s, draw(label)) for s, t in pairs]
+    if pairs and draw(st.sampled_from([False, False, True])):
+        s, t = draw(st.sampled_from(pairs))
+        edges += [Edge(s, t, draw(label)), Edge(t, s, draw(label))]
+    if draw(st.sampled_from([False, False, False, True])):
+        v = draw(st.integers(0, n - 1))
+        edges.append(Edge(v, v, draw(label)))
+    return FusionQuiver(tuple(range(n)), tuple(draw(st.permutations(edges))), ring=R, module=M)
+
+
+class TestFloatRoute:
+    """reflect.labeled_graph, Gamma read from the FP dimensions in the real
+    form, equals quiver.coxeter_graph, Gamma read from integer actions: the
+    same m on the same pairs, in the same order."""
+
+    @pytest.mark.parametrize("name", BUILTIN_QUIVERS)
+    def test_builtin_quivers(self, name):
+        Q = BUILTIN_QUIVERS[name]
+        assert labeled_graph(Q) == coxeter_graph(Q)
+
+    @settings(PROPERTY, max_examples=200)
+    @given(labeled_trees())
+    def test_random_trees(self, Q):
+        assert labeled_graph(Q) == coxeter_graph(Q)
 
 
 class TestPosdef:

@@ -36,6 +36,7 @@ from fqk import (
     unfold,
     x_ell_dimvec,
 )
+from fqk import reflect
 from fqk.module import sign_class
 from fqk.ring import INFINITY
 from fqk.unfold import fold_root, unfold_coords
@@ -214,6 +215,22 @@ class TestReflectDimvec:
                     assert np.allclose(lhs, rhs, atol=1e-8)
 
 
+def fibonacci_numbers(n):
+    """F_0, ..., F_{n-1}."""
+    out = [0, 1]
+    while len(out) < n:
+        out.append(out[-1] + out[-2])
+    return out[:n]
+
+
+def frame_depth():
+    """The number of Python frames on the stack, this one included."""
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
 class TestQnumFree:
     def test_small_values(self):
         d, dp = qnum_free(2, "d"), qnum_free(2, "d'")
@@ -231,6 +248,28 @@ class TestQnumFree:
     def test_unknown_color_rejected(self, k, color):
         with pytest.raises(OutOfRange, match="a color is d or d'"):
             qnum_free(k, color)
+
+    @pytest.mark.parametrize("color", ["d", "d'"])
+    def test_term_count_and_coefficient_sum(self, color):
+        # [k] has floor((k+1)/2) terms whose coefficients' absolute values sum to F_k
+        for k, fib in enumerate(fibonacci_numbers(60)):
+            p = qnum_free(k, color)
+            assert len(p.terms) == (k + 1) // 2
+            assert sum(abs(c) for _, c in p.terms) == fib
+
+    def test_deep_k_from_a_cold_start(self, monkeypatch):
+        # [300] from [0] and [1] in 50 frames: the recursion depth does not
+        # grow with k, where a recursion per step would need hundreds
+        monkeypatch.setattr(reflect, "_free_top", reflect._FREE_START)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 50)
+        try:
+            deep = [qnum_free(300, color) for color in ("d", "d'")]
+        finally:
+            sys.setrecursionlimit(limit)
+        for p in deep:
+            assert len(p.terms) == 150
+            assert sum(abs(c) for _, c in p.terms) == fibonacci_numbers(301)[300]
 
     def test_defining_recursion(self):
         from fqk.reflect import D, DP, NCPolynomial

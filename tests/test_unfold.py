@@ -17,7 +17,7 @@ from fqk import (
     unfold,
 )
 from fqk.module import OrdinaryQuiver
-from fqk.quiver import label_fpdim
+from fqk.reflect import label_fpdim
 from fqk.ring import INFINITY
 
 from conftest import BUILTIN_QUIVERS, FINITE_QUIVERS
