@@ -19,7 +19,7 @@ from .errors import (
     OutOfRange,
     SignCoherenceViolation,
 )
-from .module import ActionLabel, ModuleCategory, act_on, sign_class
+from .module import ActionLabel, ModuleCategory, act_on
 from .quiver import CoxeterGraph, Edge, FusionQuiver, _check_vertex, _with_module
 from .ring import (
     FLOAT_EXACT,
@@ -146,6 +146,10 @@ def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tupl
 
 D, DP = 0, 1  # the two non-commuting letters
 
+# module.sign_class of an integer vector, indexed by 2 * has_pos + has_neg
+SIGN_CLASSES = ("zero", "negative", "positive", "incoherent")
+ZERO, NEGATIVE, POSITIVE, INCOHERENT = range(4)
+
 
 def _color(color: str) -> int:
     """The letter a color names: "d" or "d'"."""
@@ -256,25 +260,44 @@ def qnum_free(k: int, color: str = "d") -> NCPolynomial:
     return -p if k < 0 else p
 
 
-def _qnum_pair_sequence(ring: FusionRing, pi, K: int):
-    """([k]_d, [k]_d') for k = 1..K by the coupled ring recursion
-    [k+1]_d = pi [k]_d' - [k-1]_d and its color swap.  For a self-dual pi
-    both letters specialize alike, so [k]_d = [k]_d' and one sequence
-    serves both colors."""
-    # pi y = sum_j y[j] (pi S_j): y against the rows of pi's matrix
+def _qnum_rows(ring: FusionRing, pi, K: int) -> np.ndarray:
+    """([k]_d, [k]_d') for k = 1..K, as a read-only (K, 2, rank) object array
+    of Python ints, by the coupled ring recursion [k+1]_d = pi [k]_d' - [k-1]_d
+    and its color swap.  For a self-dual pi both letters specialize alike, so
+    [k]_d = [k]_d' and one sequence serves both colors."""
+    # pi y = sum_i y[i] (pi S_i): entry (i, j) of pi's matrix adds P[i, j] y[i]
+    # to (pi y)[j].  Each step runs over the non-zero entries only, in lists.
     pi_dual = ring_dual(ring, pi)
-    mats = [combination(ring.tensor, pi)]
-    if pi_dual != tuple(pi):
-        mats.append(combination(ring.tensor, pi_dual))
-    prev = [np.zeros(ring.rank, dtype=object)] * len(mats)  # index 0
-    cur = [np.array(ring.one, dtype=object)] * len(mats)  # index 1
-    out = []
+    steps = []
+    for label in [pi] if pi_dual == tuple(pi) else [pi, pi_dual]:
+        entries = [(i, j, m) for (i, j), m in np.ndenumerate(combination(ring.tensor, label)) if m]
+        units = [(i, j) for i, j, m in entries if m == 1]
+        steps.append((units, [(i, j, m) for i, j, m in entries if m != 1]))
+    n = len(steps)
+    prev, cur = [[0] * ring.rank] * n, [list(ring.one)] * n
+    flat = []  # [1] in each color, then [2], ...
     for _ in range(K):
-        vals = [tuple(c.tolist()) for c in cur]
-        out.append((vals[0], vals[-1]))
+        nxt = []
         # color c steps from the other color's value (its own for one color)
-        prev, cur = cur, [cur[-1 - c].dot(P) - prev[c] for c, P in enumerate(mats)]
-    return out
+        for c, (units, others) in enumerate(steps):
+            flat += cur[c]
+            x, y = cur[-1 - c], [-v for v in prev[c]]
+            for i, j in units:
+                y[j] += x[i]
+            for i, j, m in others:
+                y[j] += m * x[i]
+            nxt.append(y)
+        prev, cur = cur, nxt
+    rows = np.array(flat, dtype=object).reshape(K, n, ring.rank)
+    return np.broadcast_to(rows, (K, 2, ring.rank))  # one color serves as both
+
+
+def _qnum_at(rows: np.ndarray, k: int, c: int) -> tuple:
+    """[k] in color c read off rows of _qnum_rows: [0] = 0 and [-k] = -[k]."""
+    if k == 0:
+        return (0,) * rows.shape[-1]
+    x = tuple(rows[abs(k) - 1, c].tolist())
+    return tuple(-v for v in x) if k < 0 else x
 
 
 def qnum_in_ring(ring: FusionRing, pi, k: int, color: str = "d"):
@@ -282,8 +305,7 @@ def qnum_in_ring(ring: FusionRing, pi, k: int, color: str = "d"):
     c = _color(color)
     if k == 0:
         return ring.zero()
-    out = _qnum_pair_sequence(ring, pi, abs(k))[-1][c]
-    return tuple(-x for x in out) if k < 0 else out
+    return _qnum_at(_qnum_rows(ring, pi, abs(k)), k, c)
 
 
 @dataclass(frozen=True)
@@ -305,43 +327,41 @@ def _sign_coherence(ring: FusionRing, pi, K: int, fpv) -> SignCoherenceReport:
     """sign_coherence on the FP dimensions fpv of ring."""
     if K < 1:
         raise OutOfRange("K must be at least 1")
-    pairs = _qnum_pair_sequence(ring, pi, K)
-    vals_d = [a for a, _ in pairs]
-    vals_dp = [b for _, b in pairs]
-    signs_d = tuple(sign_class(x) for x in vals_d)
-    signs_dp = signs_d if vals_dp == vals_d else tuple(sign_class(x) for x in vals_dp)
-    for s in signs_d + signs_dp:
-        if s == "incoherent":
-            raise SignCoherenceViolation("mixed-sign quantum number encountered")
+    A = _qnum_rows(ring, pi, K)
+    # the sign class of every value at once, coded 2 * has_pos + has_neg
+    code = 2 * (A > 0).any(axis=-1) + (A < 0).any(axis=-1)
+    if (code == INCOHERENT).any():
+        raise SignCoherenceViolation("mixed-sign quantum number encountered")
 
     # The float FP dimensions only cross-check the exact zero test.  Every
     # value is sign-coherent here, so a non-zero one has |FPdim| >= 1, and
     # clipping its entries keeps it far from zero and within a float.
-    clipped = np.clip(np.array(vals_d, dtype=object), -FLOAT_CLIP, FLOAT_CLIP)
-    small = (np.abs(clipped.astype(float) @ np.array(fpv.dims)) < TOL).tolist()
-    minimal_m = INFINITY
-    for k in range(1, K + 1):
-        zd = signs_d[k - 1] == "zero"
-        zdp = signs_dp[k - 1] == "zero"
-        if zd != zdp or zd != small[k - 1]:
-            raise SignCoherenceViolation(
-                f"vanishing criteria disagree at k = {k}"
-            )
-        if zd and minimal_m == INFINITY:
-            minimal_m = k
+    clipped = np.clip(A[:, D], -FLOAT_CLIP, FLOAT_CLIP)
+    small = np.abs(clipped.astype(float) @ np.array(fpv.dims)) < TOL
+    zero = code == ZERO
+    disagree = (zero[:, D] != zero[:, DP]) | (zero[:, D] != small)
+    if disagree.any():
+        raise SignCoherenceViolation(
+            f"vanishing criteria disagree at k = {disagree.argmax() + 1}"
+        )
+    minimal_m = int(zero[:, D].argmax()) + 1 if zero[:, D].any() else INFINITY
 
-    for k in range(1, K + 1):
-        if minimal_m == INFINITY:
-            want = "positive"
-        else:
-            c, j = divmod(k, minimal_m)
-            want = "zero" if j == 0 else ("positive" if c % 2 == 0 else "negative")
-        if signs_d[k - 1] != want or signs_dp[k - 1] != want:
-            raise SignCoherenceViolation(
-                f"sign pattern violated at k = {k}: got "
-                f"({signs_d[k-1]}, {signs_dp[k-1]}), expected {want}"
-            )
-    return SignCoherenceReport(minimal_m, signs_d, signs_dp, tuple(vals_d))
+    # zeros exactly at multiples of m, signs flipping block by block
+    want = np.full(K, POSITIVE)
+    if minimal_m != INFINITY:
+        block, j = np.divmod(np.arange(1, K + 1), minimal_m)
+        want[block % 2 == 1] = NEGATIVE
+        want[j == 0] = ZERO
+    signs_d, signs_dp = (tuple(SIGN_CLASSES[s] for s in col) for col in code.T.tolist())
+    wrong = (code != want[:, None]).any(axis=1)
+    if wrong.any():
+        i = wrong.argmax()
+        raise SignCoherenceViolation(
+            f"sign pattern violated at k = {i + 1}: got "
+            f"({signs_d[i]}, {signs_dp[i]}), expected {SIGN_CLASSES[want[i]]}"
+        )
+    values_d = tuple(map(tuple, A[:, D].tolist()))
+    return SignCoherenceReport(minimal_m, signs_d, signs_dp, values_d)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +450,10 @@ def matrix_power_identity_check(ring: FusionRing, pi, k: int) -> bool:
     power = ((one, zero), (zero, one))
     for _ in range(k):
         power = _mat2_mul(ring, power, step)
-    neg = lambda x: scale(-1, x)
+    rows = _qnum_rows(ring, pi, 2 * k + 1)
     expected = (
-        (qnum_in_ring(ring, pi, 2 * k + 1, "d'"), neg(qnum_in_ring(ring, pi, 2 * k, "d'"))),
-        (qnum_in_ring(ring, pi, 2 * k, "d"), neg(qnum_in_ring(ring, pi, 2 * k - 1, "d"))),
+        (_qnum_at(rows, 2 * k + 1, DP), _qnum_at(rows, -2 * k, DP)),
+        (_qnum_at(rows, 2 * k, D), _qnum_at(rows, 1 - 2 * k, D)),
     )
     return power == expected
 
@@ -447,12 +467,11 @@ def x_ell_dimvec(ring: FusionRing, M: ModuleCategory, pi, L, ell: int):
         raise OutOfRange(f"ell = {ell} outside 1..{m}")
     if isinstance(L, (int, str)):
         L = M.basis(L)
+    rows = _qnum_rows(ring, pi, ell)
     if ell % 2 == 1:
-        coeff_a = qnum_in_ring(ring, pi, ell, "d'")
-        coeff_b = qnum_in_ring(ring, pi, ell - 1, "d")
+        coeff_a, coeff_b = _qnum_at(rows, ell, DP), _qnum_at(rows, ell - 1, D)
     else:
-        coeff_a = qnum_in_ring(ring, pi, ell - 1, "d'")
-        coeff_b = qnum_in_ring(ring, pi, ell, "d")
+        coeff_a, coeff_b = _qnum_at(rows, ell - 1, DP), _qnum_at(rows, ell, D)
     return (act_on(M, coeff_a, L), act_on(M, coeff_b, L))
 
 

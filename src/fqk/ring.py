@@ -274,11 +274,12 @@ def perron_eigenpair(A):
     lam = 1.0
     for _ in range(POWER_ITER_CAP):
         w = B @ v
-        lam_new = float(np.linalg.norm(w))
+        lam_new = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its overhead
         if lam_new == 0.0:
             raise NonConvergence("matrix annihilated the positive cone")
         w = w / lam_new
-        if np.linalg.norm(w - v) < POWER_ITER_TOL and abs(lam_new - lam) < POWER_ITER_TOL:
+        d = w - v
+        if math.sqrt(d @ d) < POWER_ITER_TOL and abs(lam_new - lam) < POWER_ITER_TOL:
             return lam_new - 1.0, w
         v, lam = w, lam_new
     raise NonConvergence(

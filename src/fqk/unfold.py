@@ -6,7 +6,7 @@ vectors as those roots folded back."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .quiver import (
 from .ring import fmt_m
 
 ROOT_CLOSURE_CAP = 10**6
+TYPE_TABLE_MEMO = 64  # distinct (type, vertex count) whose root table is kept
 
 # positive-root counts of the simply laced types
 ADE_ROOT_COUNTS = {
@@ -152,10 +153,10 @@ def _root_array(U, rep: Classification) -> np.ndarray:
     if count > ROOT_CLOSURE_CAP:
         raise OutOfRange(f"{count} positive roots exceed the cap of {ROOT_CLOSURE_CAP}")
     out = np.zeros((count, len(U.vertices)), dtype=np.int8)
-    table_of, r = cache(_type_table), 0  # one table per distinct type
+    r = 0
     for c in rep.components:
         name, k = c.type_name, len(c.vertices)
-        t = table_of(name, k)
+        t = _type_table(name, k)
         table = ADE_ROOT_COUNTS[name] if name[0] == "E" else ADE_ROOT_COUNTS[name[0]](k)
         if not len(t) == table == c.positive_root_count:
             raise InconsistentVerdict(
@@ -167,8 +168,11 @@ def _root_array(U, rep: Classification) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=TYPE_TABLE_MEMO)
 def _type_table(name, k) -> np.ndarray:
-    """The positive roots of the ADE type `name` on k vertices in arm order, one per row."""
+    """The positive roots of the ADE type `name` on k vertices in arm order, one
+    per row.  Read-only (np.frombuffer), so every caller shares one table; the
+    TYPE_TABLE_MEMO most recent types keep theirs."""
     rows = _e_roots(name) if name[0] == "E" else (_a_roots, _d_roots)[name[0] == "D"](range(k), k)
     return np.frombuffer(b"".join(map(bytes, rows)), dtype=np.int8).reshape(-1, k)
 

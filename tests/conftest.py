@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fqk import catalog
+from fqk import FusionRing, catalog
 
 
 BUILTIN_RINGS = {
@@ -15,6 +15,11 @@ BUILTIN_RINGS = {
     "verlinde_sl2_2": catalog.verlinde_sl2(2),
     "verlinde_sl2_4": catalog.verlinde_sl2(4),
 }
+
+# the group ring of Z/3 on (1, g, g^2): g and g^2 are dual to each other
+Z3 = FusionRing.from_data(
+    ("1", "g", "g2"), 0, [[[int(k == (i + j) % 3) for k in range(3)] for j in range(3)] for i in range(3)]
+)
 
 BUILTIN_MODULES = {
     "verlinde_typeD_2": catalog.verlinde_typeD(2),

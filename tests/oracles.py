@@ -27,7 +27,16 @@ from fqk.errors import InconsistentVerdict, InfiniteComponent, InfiniteType, Mis
 from fqk.module import label_matrix, module_fpdims
 from fqk.quiver import Classification, Component, _posdef, _with_module
 from fqk.reflect import ROOT_ENTRY_MAX, label_fpdim
-from fqk.ring import INFINITY, FPVector, ValidationReport, dual, fpdim, perron_eigenpair, sub
+from fqk.ring import (
+    INFINITY,
+    POWER_ITER_CAP,
+    POWER_ITER_TOL,
+    FPVector,
+    ValidationReport,
+    dual,
+    fpdim,
+    sub,
+)
 
 
 def _left_mult(ring, i):
@@ -188,6 +197,23 @@ def loop_validate_module(M) -> ValidationReport:
     return rep
 
 
+def loop_perron_vector(A):
+    """The Perron vector of a non-negative matrix by power iteration on A + I,
+    with numpy's vector norm: `ring.perron_eigenpair` must match it bit for
+    bit."""
+    B = A + np.eye(len(A))
+    v = np.ones(len(A)) / math.sqrt(len(A))
+    lam = 1.0
+    for _ in range(POWER_ITER_CAP):
+        w = B @ v
+        lam_new = float(np.linalg.norm(w))
+        w = w / lam_new
+        if np.linalg.norm(w - v) < POWER_ITER_TOL and abs(lam_new - lam) < POWER_ITER_TOL:
+            return w
+        v, lam = w, lam_new
+    raise AssertionError("power iteration did not converge")
+
+
 def loop_fpdim(ring) -> FPVector:
     total = np.zeros((ring.rank, ring.rank), dtype=float)
     mats = []
@@ -195,7 +221,7 @@ def loop_fpdim(ring) -> FPVector:
         m = np.asarray(_left_mult(ring, i), dtype=float)
         mats.append(m)
         total += m
-    _, v = perron_eigenpair(total)
+    v = loop_perron_vector(total)
     v = v / v[ring.unit]
     k = int(np.argmax(v))
     dims = tuple(float((m @ v)[k] / v[k]) for m in mats)
@@ -206,7 +232,7 @@ def loop_module_fpdims(M) -> tuple:
     total = np.zeros((M.msize, M.msize), dtype=float)
     for i in range(M.ring.rank):
         total += np.asarray(np.array(M.act[i], dtype=object), dtype=float)
-    _, v = perron_eigenpair(total)
+    v = loop_perron_vector(total)
     return tuple(float(x) for x in v / v.min())
 
 

@@ -140,6 +140,10 @@ class TestRootClosure:
         assert len(roots) == table_count(name)
         assert set(roots) == global_positive_roots(n, arrows)
 
+    def test_tables_are_kept_and_read_only(self):
+        table = _type_table("D6", 6)
+        assert _type_table("D6", 6) is table and not table.flags.writeable
+
     @pytest.mark.parametrize("table, name", [("_a_roots", "A5"), ("_d_roots", "D6"), ("_e_roots", "E8")])
     def test_short_table_fails_count_check(self, monkeypatch, table, name):
         unfold_module = sys.modules["fqk.unfold"]
@@ -147,8 +151,13 @@ class TestRootClosure:
         monkeypatch.setattr(unfold_module, table, lambda *args: list(real(*args))[1:])
         n = int(name[1:])
         q = OrdinaryQuiver(tuple(range(n)), tuple((u, v, 1) for u, v in dynkin_edges(name)))
-        with pytest.raises(InconsistentVerdict, match=f"table says {table_count(name)}"):
-            positive_roots_simply_laced(q)
+        # root tables are kept across calls: build this one from the patch, and keep it no longer
+        unfold_module._type_table.cache_clear()
+        try:
+            with pytest.raises(InconsistentVerdict, match=f"table says {table_count(name)}"):
+                positive_roots_simply_laced(q)
+        finally:
+            unfold_module._type_table.cache_clear()
 
     def test_long_unit_chain(self):
         U = unfold(unit_chain(60))

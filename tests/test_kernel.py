@@ -1,6 +1,7 @@
-"""The integer-array kernel of the ring and module layers against the
-brute-force loops in `oracles.py`: identical reports on perturbed data,
-bit-identical FP dimensions, identical products, and exact arithmetic on
+"""The integer-array kernel of the ring and module layers, and the
+quantum-number kernel of the oracles, against the brute-force loops in
+`oracles.py`: identical reports on perturbed data, bit-identical FP
+dimensions, identical products and quantum numbers, and exact arithmetic on
 both sides of the float64 edge and past int64."""
 
 import math
@@ -17,6 +18,7 @@ from fqk import (
     FusionRing,
     MissingAction,
     ModuleCategory,
+    SignCoherenceViolation,
     act_on,
     catalog,
     extended_positive_roots,
@@ -30,9 +32,10 @@ from fqk import (
     validate,
     validate_module,
 )
-from fqk.module import label_matrix
+from fqk.module import label_matrix, sign_class
 from fqk.ring import FLOAT_EXACT, wide
 
+from conftest import Z3
 from oracles import (
     loop_extended_orbits,
     loop_fpdim,
@@ -237,6 +240,58 @@ class TestProductAgainstLoop:
         except FQKError:
             return  # infinite type or partial mode: no orbits to compare
         assert rep.orbits == loop_extended_orbits(Q.ring, rep.phi_plus)
+
+
+@st.composite
+def qnum_labels(draw):
+    """A generated or catalog ring, or Z/3 (g is not self-dual), and a label:
+    a simple, zero, or a vector of coefficients up to 2**70, of mixed signs
+    or non-negative (its quantum numbers soon pass the float range)."""
+    R = draw(st.one_of(base_rings(), st.sampled_from(list(catalog_rings().values())), st.just(Z3)))
+    kind = draw(st.sampled_from(("simple", "zero", "mixed", "non-negative")))
+    if kind == "simple":
+        return R, R.basis(draw(st.integers(0, R.rank - 1)))
+    if kind == "zero":
+        return R, R.zero()
+    return R, draw(st.tuples(*[COEFFS if kind == "mixed" else st.integers(0, 2**70)] * R.rank))
+
+
+def sign_pattern_holds(signs_d, signs_dp) -> bool:
+    """Zeros exactly at the multiples of the first zero m, both colors alike,
+    positive on the first block and flipping sign block by block."""
+    m = next((k for k, s in enumerate(signs_d, 1) if s == "zero"), None)
+    want = [
+        "positive" if m is None else "zero" if k % m == 0 else ("positive", "negative")[k // m % 2]
+        for k in range(1, len(signs_d) + 1)
+    ]
+    return list(signs_d) == want == list(signs_dp)
+
+
+class TestQuantumNumbersAgainstLoop:
+    @PROPERTY
+    @given(qnum_labels(), st.integers(1, 60), st.data())
+    def test_sequence_and_signs(self, labeled, K, data):
+        R, pi = labeled
+        pairs = loop_qnum_pairs(R, pi, K)
+        for k in (1, data.draw(st.integers(1, K)), K):
+            for c, color in enumerate(("d", "d'")):
+                want, got = pairs[k - 1][c], qnum_in_ring(R, pi, k, color)
+                assert got == want and all(type(x) is int for x in got)
+                assert qnum_in_ring(R, pi, -k, color) == tuple(-x for x in want)
+
+        signs_d = tuple(sign_class(a) for a, _ in pairs)
+        signs_dp = tuple(sign_class(b) for _, b in pairs)
+        if "incoherent" in signs_d + signs_dp:
+            with pytest.raises(SignCoherenceViolation, match="mixed-sign"):
+                sign_coherence(R, pi, K)
+        elif not sign_pattern_holds(signs_d, signs_dp):
+            with pytest.raises(SignCoherenceViolation, match="disagree|pattern"):
+                sign_coherence(R, pi, K)
+        else:
+            rep = sign_coherence(R, pi, K)
+            assert rep.values_d == tuple(a for a, _ in pairs)
+            assert all(type(x) is int for v in rep.values_d for x in v)
+            assert (rep.signs_d, rep.signs_dp) == (signs_d, signs_dp)
 
 
 # the largest structure constant a rank-5 ring can hold and still run its

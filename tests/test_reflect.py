@@ -9,7 +9,6 @@ from fqk import (
     ActionLabel,
     Edge,
     FusionQuiver,
-    FusionRing,
     InconsistentVerdict,
     InfiniteType,
     OutOfRange,
@@ -41,7 +40,7 @@ from fqk.module import sign_class
 from fqk.ring import INFINITY
 from fqk.unfold import fold_root, unfold_coords
 
-from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS, random_element
+from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS, Z3, random_element
 from oracles import dimvec_basis, dimvec_fpdim, loop_qnum_pairs, reflect_real
 
 # (ring key, label name) pairs exercising every builtin generator label
@@ -53,12 +52,6 @@ BUILTIN_LABELS = [
     ("verlinde_sl2_2", "V1"),
     ("verlinde_sl2_4", "V1"),
 ]
-
-
-# the group ring of Z/3 on (1, g, g^2): g and g^2 are dual to each other
-Z3 = FusionRing.from_data(
-    ("1", "g", "g2"), 0, [[[int(k == (i + j) % 3) for k in range(3)] for j in range(3)] for i in range(3)]
-)
 
 
 def random_dimvec(rng, Q, msize, lo=-2, hi=2):
