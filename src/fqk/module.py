@@ -178,17 +178,13 @@ def act_on(M: ModuleCategory, x: RingElement, u: ModuleElement) -> ModuleElement
     return tuple(int(v) for v in out)
 
 
+# the sign class of an integer vector, indexed by 2 * has_pos + has_neg
+SIGN_CLASSES = ("zero", "negative", "positive", "incoherent")
+
+
 def sign_class(x) -> str:
     """Classify an integer vector as positive / zero / negative / incoherent."""
-    has_pos = max(x, default=0) > 0
-    has_neg = min(x, default=0) < 0
-    if has_pos and has_neg:
-        return "incoherent"
-    if has_pos:
-        return "positive"
-    if has_neg:
-        return "negative"
-    return "zero"
+    return SIGN_CLASSES[2 * (max(x, default=0) > 0) + (min(x, default=0) < 0)]
 
 
 def nonzero_action_check(M: ModuleCategory, x: RingElement, u: ModuleElement) -> bool:

@@ -8,6 +8,7 @@ decides; no module on that path imports this one."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import (
     OutOfRange,
     SignCoherenceViolation,
 )
-from .module import ActionLabel, ModuleCategory, act_on
+from .module import SIGN_CLASSES, ActionLabel, ModuleCategory, act_on
 from .quiver import CoxeterGraph, Edge, FusionQuiver, _check_vertex, _with_module
 from .ring import (
     FLOAT_EXACT,
@@ -146,9 +147,7 @@ def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tupl
 
 D, DP = 0, 1  # the two non-commuting letters
 
-# module.sign_class of an integer vector, indexed by 2 * has_pos + has_neg
-SIGN_CLASSES = ("zero", "negative", "positive", "incoherent")
-ZERO, NEGATIVE, POSITIVE, INCOHERENT = range(4)
+ZERO, NEGATIVE, POSITIVE, INCOHERENT = range(4)  # indices into SIGN_CLASSES
 
 
 def _color(color: str) -> int:
@@ -164,46 +163,6 @@ class NCPolynomial:
     (tuples over {d, d'}) to non-zero coefficients."""
 
     terms: tuple  # sorted tuple of (word, coeff)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NCPolynomial":
-        return cls(terms=tuple(sorted((w, c) for w, c in d.items() if c)))
-
-    @classmethod
-    def zero(cls) -> "NCPolynomial":
-        return cls(terms=())
-
-    @classmethod
-    def one(cls) -> "NCPolynomial":
-        return cls(terms=(((), 1),))
-
-    @classmethod
-    def letter(cls, a) -> "NCPolynomial":
-        return cls(terms=(((a,), 1),))
-
-    def __add__(self, other):
-        d = dict(self.terms)
-        for w, c in other.terms:
-            d[w] = d.get(w, 0) + c
-        return NCPolynomial.from_dict(d)
-
-    def __neg__(self):
-        return NCPolynomial(terms=tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return NCPolynomial.from_dict({w: c * other for w, c in self.terms})
-        d: dict = {}
-        for w1, c1 in self.terms:
-            for w2, c2 in other.terms:
-                w = w1 + w2
-                d[w] = d.get(w, 0) + c1 * c2
-        return NCPolynomial.from_dict(d)
-
-    __rmul__ = __mul__
 
     def evaluate(self, ring: FusionRing, pi):
         """Specialize d to pi and d' to its dual, multiplying left to right."""
@@ -234,30 +193,21 @@ class NCPolynomial:
         return s.replace("+ -", "- ")
 
 
-# the last free quantum numbers computed: (k, [k-1], [k]), each in both
-# colors (indexed by D, DP), so that ascending requests take one step each;
-# the recursion starts from [-1] = -1 and [0] = 0.  The tuple is replaced
-# whole, so a concurrent caller steps from an older top, never a torn one.
-_FREE_START = (0, (-NCPolynomial.one(),) * 2, (NCPolynomial.zero(),) * 2)
-_free_top = _FREE_START
-
-
-def _qnum_free_pos(k: int, color: int) -> NCPolynomial:
-    """[k] for k >= 0 by [j]_c = c [j-1]_c' - [j-2]_c, stepped up in a loop
-    from the last result (from the start when k lies below it), so the
-    recursion depth does not grow with k and only two levels are kept."""
-    global _free_top
-    j, prev, cur = _free_top if _free_top[0] <= k else _FREE_START
-    for _ in range(j, k):
-        prev, cur = cur, tuple(NCPolynomial.letter(c) * cur[1 - c] - prev[c] for c in (D, DP))
-    _free_top = (k, prev, cur)
-    return cur[color]
-
-
 def qnum_free(k: int, color: str = "d") -> NCPolynomial:
-    """The two-colored quantum number [k] as a free polynomial in d, d'."""
-    p = _qnum_free_pos(abs(k), _color(color))
-    return -p if k < 0 else p
+    """The two-colored quantum number [k] as a free polynomial in d, d'.
+
+    For k >= 1, [k]_c = sum_j (-1)^j C(k-1-j, j) w_c(k-1-2j) over
+    0 <= j <= (k-1)/2, where w_c(n) is the alternating word of length n that
+    starts with c; [0] = 0 and [-k] = -[k].  This solves the defining
+    recursion [k+1]_c = c [k]_c' - [k-1]_c: c w_c'(n) = w_c(n+1), so the
+    coefficients follow the Chebyshev recursion and are those of U_(k-1)(x/2).
+    The words are prefixes of w_c(k-1), so shortest first is sorted order."""
+    c, n = _color(color), abs(k) - 1
+    word = (c, 1 - c) * (n // 2) + (c,) * (n % 2)  # w_c(n); its prefixes are the w_c(n - 2j)
+    sign = -1 if k < 0 else 1
+    return NCPolynomial(tuple(
+        (word[:n - 2 * j], sign * (-1) ** j * math.comb(n - j, j)) for j in range(n // 2, -1, -1)
+    ))
 
 
 def _qnum_rows(ring: FusionRing, pi, K: int) -> np.ndarray:

@@ -6,7 +6,7 @@ vectors as those roots folded back."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,7 +204,6 @@ def _d_roots(order, nv):
         y[chain[j]] = 2
 
 
-@cache
 def _e_roots(name) -> tuple:
     """The positive roots of E6, E7 or E8 in arm order, closed from the simple
     roots under the reflections that raise an entry."""

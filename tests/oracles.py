@@ -11,6 +11,8 @@ shadow.  The batched closure oracles in `fqk.reflect` must return what the
 vector-by-vector closure below returns, or raise the same error, and its
 batched rank-two orbit the sizes of the one-simple-at-a-time orbit below.
 Both run on the tuple reflection here, not on any reflection of `fqk.reflect`.
+The closed form of the free quantum numbers in `fqk.reflect` must give the
+terms of their defining recursion below, stepped on {word: coeff} dicts.
 The component recognizer in `fqk.quiver`, which reads one adjacency map per
 vertex, must name every component as the edge-list recognizer below does,
 arm order included.
@@ -75,6 +77,34 @@ def loop_qnum_pairs(ring, pi, K) -> list:
         b_new = sub(loop_multiply(ring, pi_dual, a_cur), b_prev)
         a_prev, b_prev, a_cur, b_cur = a_cur, b_cur, a_new, b_new
     return out
+
+
+def prepend(letter, p: dict) -> dict:
+    """The one-letter word `letter` times the free polynomial p, over
+    {word: coeff} with words of the letter's type (tuple or str)."""
+    return {letter + w: c for w, c in p.items()}
+
+
+def free_add(p: dict, q: dict, sign: int = 1) -> dict:
+    """p + sign * q over {word: coeff}, zero coefficients dropped."""
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out.get(w, 0) + sign * c
+    return {w: c for w, c in out.items() if c}
+
+
+def loop_qnum_free(k, color) -> tuple:
+    """The sorted (word, coeff) terms of the free [k]_color, by the defining
+    recursion [j]_a = a [j-1]_a' - [j-2]_a stepped up from [-1] = -1 and
+    [0] = 0, along the one chain of colors that reaches [k]_color; [-k] = -[k].
+    Words are strings over "0" = d and "1" = d' while stepping, whose hashes
+    Python keeps, and tuples of ints in the result."""
+    n, c = abs(k), ("d", "d'").index(color)
+    prev, cur = {"": -1}, {}
+    for j in range(1, n + 1):
+        a = "01"[(c + n - j) % 2]  # the color of [j]: colors alternate down from [n]_c
+        prev, cur = cur, free_add(prepend(a, cur), prev, -1)
+    return tuple(sorted((tuple(map(int, w)), -x if k < 0 else x) for w, x in cur.items()))
 
 
 def loop_extended_orbits(ring, phi_plus) -> tuple:

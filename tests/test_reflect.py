@@ -37,11 +37,20 @@ from fqk import (
 )
 from fqk import reflect
 from fqk.module import sign_class
+from fqk.reflect import D, DP
 from fqk.ring import INFINITY
 from fqk.unfold import fold_root, unfold_coords
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS, Z3, random_element
-from oracles import dimvec_basis, dimvec_fpdim, loop_qnum_pairs, reflect_real
+from oracles import (
+    dimvec_basis,
+    dimvec_fpdim,
+    free_add,
+    loop_qnum_free,
+    loop_qnum_pairs,
+    prepend,
+    reflect_real,
+)
 
 # (ring key, label name) pairs exercising every builtin generator label
 BUILTIN_LABELS = [
@@ -250,10 +259,21 @@ class TestQnumFree:
             assert len(p.terms) == (k + 1) // 2
             assert sum(abs(c) for _, c in p.terms) == fib
 
-    def test_deep_k_from_a_cold_start(self, monkeypatch):
-        # [300] from [0] and [1] in 50 frames: the recursion depth does not
-        # grow with k, where a recursion per step would need hundreds
-        monkeypatch.setattr(reflect, "_free_top", reflect._FREE_START)
+    @pytest.mark.parametrize("color", ["d", "d'"])
+    def test_closed_form_matches_recursion(self, color):
+        for k in range(-60, 151):
+            assert qnum_free(k, color).terms == loop_qnum_free(k, color), k
+
+    def test_no_state_between_calls(self):
+        # each call derives [k] alone: the order of earlier calls cannot matter
+        keys = [(k, color) for k in range(40) for color in ("d", "d'")]
+        expected = {key: qnum_free(*key).terms for key in keys}  # one ascending run
+        for order in (keys[::-1], keys[::-2] + keys[::2]):
+            assert [qnum_free(*key).terms for key in order] == [expected[key] for key in order]
+
+    def test_deep_k_from_a_cold_start(self):
+        # [300] in 50 frames, each call from nothing: the recursion depth does
+        # not grow with k, where a recursion per step would need hundreds
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(frame_depth() + 50)
         try:
@@ -265,17 +285,12 @@ class TestQnumFree:
             assert sum(abs(c) for _, c in p.terms) == fibonacci_numbers(301)[300]
 
     def test_defining_recursion(self):
-        from fqk.reflect import D, DP, NCPolynomial
-
-        d = NCPolynomial.letter(D)
-        dp = NCPolynomial.letter(DP)
-        for k in range(1, 12):
-            assert d * qnum_free(k, "d'") == qnum_free(k + 1, "d") + qnum_free(
-                k - 1, "d"
-            )
-            assert dp * qnum_free(k, "d") == qnum_free(k + 1, "d'") + qnum_free(
-                k - 1, "d'"
-            )
+        # c [k]_c' = [k+1]_c + [k-1]_c, negative k included
+        for k in range(-12, 12):
+            for c, color, other in ((D, "d", "d'"), (DP, "d'", "d")):
+                lhs = prepend((c,), dict(qnum_free(k, other).terms))
+                up, down = (dict(qnum_free(j, color).terms) for j in (k + 1, k - 1))
+                assert lhs == free_add(up, down), (k, color)
 
     def test_free_specializes_to_ring(self):
         for rkey, lname in BUILTIN_LABELS:
