@@ -157,10 +157,12 @@ def cmd_fpdim(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    Q = _quiver(args)
-    cls = classify_coxeter(coxeter_graph(Q))
+    G = coxeter_graph(_quiver(args))
+    cls = classify_coxeter(G)
+    loops = {u for u, v, _ in G.edges if u == v}
+    # two vertices and no loop: the one edge between them has m = INFINITY
     names = ", ".join(
-        c.type_name if c.finite else "I2(inf)" if len(c.vertices) == 2 else "infinite"
+        "I2(inf)" if not c.finite and len(c.vertices) == 2 and not loops & set(c.vertices) else c.type_name
         for c in cls.components
     )
     _emit(

@@ -35,7 +35,9 @@ class FusionQuiver:
     """Construction resolves, once and outside the fields: the module (its
     own, else the ring's regular module, else none), its simple names (else
     `mnames`, else the labels' common size) and `edge_actions`, each edge's
-    action matrix on those simples as rows of Python ints."""
+    action matrix on those simples as a tuple of rows of Python ints.  The
+    module is chosen here and nowhere else: to act on another, build the
+    quiver with module=M or call replace(Q, module=M)."""
 
     vertices: tuple  # names
     edges: tuple  # of Edge
@@ -62,7 +64,7 @@ class FusionQuiver:
                 raise MissingAction(f"ring-element label {e.label} on a quiver with no ring")
             if len(e.label) != self.ring.rank:
                 raise OutOfRange(f"label {e.label} is not {self.ring.rank} coefficients")
-        actions = tuple(label_matrix(M, e.label).tolist() for e in self.edges)
+        actions = tuple(tuple(map(tuple, label_matrix(M, e.label).tolist())) for e in self.edges)
         mnames = M.mnames if M is not None else self.mnames
         if mnames is None:
             sizes = {len(rows) for rows in actions}
@@ -92,9 +94,11 @@ class FusionQuiver:
         return self._mnames
 
 
-def _with_module(Q: FusionQuiver, M: ModuleCategory | None) -> FusionQuiver:
-    """Q acting on M instead of its own module; Q itself when M is None."""
-    return Q if M is None else replace(Q, module=M)
+def _own_module(Q: FusionQuiver, M: ModuleCategory | None) -> None:
+    """Reject an M other than Q's own module: a caller may restate the module
+    a quiver acts on, never choose another one."""
+    if M is not None and M != Q.resolved_module():
+        raise OutOfRange("a quiver acts on its own module: build it with module=M or replace(Q, module=M)")
 
 
 def _zero_label(label) -> bool:
@@ -209,7 +213,6 @@ def coxeter_graph(Q: FusionQuiver) -> CoxeterGraph:
     for v -> u)."""
     acc = {}
     for e, rows in zip(Q.edges, Q.edge_actions):
-        rows = tuple(map(tuple, rows))
         if e.source > e.target:
             rows = tuple(zip(*rows))
         key = (min(e.source, e.target), max(e.source, e.target))

@@ -21,7 +21,7 @@ from .errors import (
     SignCoherenceViolation,
 )
 from .module import SIGN_CLASSES, ActionLabel, ModuleCategory, act_on
-from .quiver import CoxeterGraph, Edge, FusionQuiver, _check_vertex, _with_module
+from .quiver import CoxeterGraph, Edge, FusionQuiver, _check_vertex, _own_module
 from .ring import (
     FLOAT_EXACT,
     FPVector,
@@ -126,12 +126,12 @@ def _blocks(Q: FusionQuiver, at: int | None = None):
             yield e.target, e.source, rows
 
 
-def reflect_dimvec(Q: FusionQuiver, M: ModuleCategory | None, v: int, x) -> tuple:
-    """Simple reflection at vertex v acting on a dimension vector: the
-    coefficient at v becomes minus itself plus the (dual-)label actions on
-    the neighboring coefficients; an involution.  Block row v of B, in
-    Python ints."""
-    Q, x = _with_module(Q, M), tuple(x)
+def reflect_dimvec(Q: FusionQuiver, v: int, x) -> tuple:
+    """Simple reflection at vertex v acting on a dimension vector over Q's
+    module: the coefficient at v becomes minus itself plus the (dual-)label
+    actions on the neighboring coefficients; an involution.  Block row v of
+    B, in Python ints."""
+    x = tuple(x)
     _check_vertex(Q, v)
     msize = len(Q.module_names())
     if len(x) != Q.nv or any(len(a) != msize for a in x):
@@ -366,46 +366,27 @@ def rank_two_order(ring: FusionRing | None, pi, module: ModuleCategory | None = 
     return results["angle"]
 
 
-def sigma_matrices(ring: FusionRing, pi):
-    """The 2x2 generator matrices over the ring for the one-edge quiver."""
-    one, zero = ring.one, ring.zero()
-    neg_one = scale(-1, one)
-    pi_dual = ring_dual(ring, pi)
-    sigma_a = ((neg_one, pi_dual), (zero, one))
-    sigma_b = ((one, zero), (pi, neg_one))
-    return sigma_a, sigma_b
-
-
-def _mat2_mul(ring, A, B):
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = ring.zero()
-            for k in range(2):
-                acc = add(acc, multiply(ring, A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def matrix_power_identity_check(ring: FusionRing, pi, k: int) -> bool:
     """Whether (sigma_a sigma_b)^k equals the closed-form matrix of
-    two-colored quantum numbers [[ [2k+1]', -[2k]' ], [ [2k], -[2k-1] ]]."""
+    two-colored quantum numbers [[ [2k+1]', -[2k]' ], [ [2k], -[2k-1] ]].
+    sigma_a and sigma_b are reflect_dimvec on the one-edge quiver over the
+    regular module, where a ring element acts by left multiplication, a
+    faithful action: column j of the power is the image of [1] alpha_j."""
     if k < 0:
         raise OutOfRange("k must be non-negative")
-    sigma_a, sigma_b = sigma_matrices(ring, pi)
-    step = _mat2_mul(ring, sigma_a, sigma_b)
-    one, zero = ring.one, ring.zero()
-    power = ((one, zero), (zero, one))
-    for _ in range(k):
-        power = _mat2_mul(ring, power, step)
+    Q = FusionQuiver(("a", "b"), (Edge(0, 1, pi),), ring=ring)
+
+    def power(x):
+        for _ in range(k):
+            x = reflect_dimvec(Q, 0, reflect_dimvec(Q, 1, x))
+        return x
+
     rows = _qnum_rows(ring, pi, 2 * k + 1)
     expected = (
-        (_qnum_at(rows, 2 * k + 1, DP), _qnum_at(rows, -2 * k, DP)),
-        (_qnum_at(rows, 2 * k, D), _qnum_at(rows, 1 - 2 * k, D)),
+        (_qnum_at(rows, 2 * k + 1, DP), _qnum_at(rows, 2 * k, D)),
+        (_qnum_at(rows, -2 * k, DP), _qnum_at(rows, 1 - 2 * k, D)),
     )
-    return power == expected
+    return (power((ring.one, ring.zero())), power((ring.zero(), ring.one))) == expected
 
 
 def x_ell_dimvec(ring: FusionRing, M: ModuleCategory, pi, L, ell: int):
@@ -500,9 +481,10 @@ def _dimvecs(rows, nv: int, m: int) -> list:
 
 def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None):
     """Independent enumeration oracle: reflection closure of the simple
-    dimension vectors [L] alpha_v directly in the module-coefficient lattice,
-    keeping positive vectors."""
-    Q = _with_module(Q, M)
+    dimension vectors [L] alpha_v directly in the module-coefficient lattice
+    of Q's module, keeping positive vectors.  M, when given, only restates
+    Q's own module."""
+    _own_module(Q, M)
     msize = len(Q.module_names())
     starts = np.eye(Q.nv * msize, dtype=np.int8)
     return _dimvecs(_closure(Q, starts, True, "closure"), Q.nv, msize)

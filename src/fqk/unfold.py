@@ -15,7 +15,7 @@ from .module import ModuleCategory, action_arrows
 from .quiver import (
     Classification,
     FusionQuiver,
-    _with_module,
+    _own_module,
     classify_coxeter,
     coxeter_graph,
     simply_laced_components,
@@ -53,10 +53,10 @@ class UnfoldedQuiver:
 
 
 def unfold(Q: FusionQuiver, M: ModuleCategory | None = None) -> UnfoldedQuiver:
-    """The ordinary quiver on pairs (vertex, module simple): an arrow
-    (s,L) -> (t,L') for each unit of the label's action multiplicity at
-    (L',L)."""
-    Q = _with_module(Q, M)
+    """The ordinary quiver on pairs (vertex, module simple of Q's module): an
+    arrow (s,L) -> (t,L') for each unit of the label's action multiplicity at
+    (L',L).  M, when given, only restates Q's own module."""
+    _own_module(Q, M)
     mnames = Q.module_names()
     n = len(mnames)
     vertices = tuple((v, l) for v in range(Q.nv) for l in range(n))
@@ -94,11 +94,11 @@ class FiniteTypeVerdict:
         return f"{status}; Gamma = {gamma}; unfolded = {comps}"
 
 
-def is_finite_type(Q: FusionQuiver, M: ModuleCategory | None = None) -> FiniteTypeVerdict:
+def is_finite_type(Q: FusionQuiver) -> FiniteTypeVerdict:
     """Decide finite representation type two ways — by the Coxeter graph of
     Q's labels (the same for every module) and by ADE recognition of the
-    unfolding over M — cross-checked per Coxeter-graph component."""
-    return _cross_checked(Q, unfold(Q, M))
+    unfolding over Q's module — cross-checked per Coxeter-graph component."""
+    return _cross_checked(Q, unfold(Q))
 
 
 def _cross_checked(Q: FusionQuiver, U: UnfoldedQuiver) -> FiniteTypeVerdict:
@@ -233,11 +233,11 @@ def unfold_coords(x) -> tuple:
     return tuple(c for a in x for c in a)
 
 
-def enumerate_indecomposables(Q: FusionQuiver, M: ModuleCategory | None = None):
+def enumerate_indecomposables(Q: FusionQuiver):
     """Dimension vectors of all indecomposable representations of a
     finite-type quiver: positive roots of the unfolding, folded back, sorted
     lexicographically."""
-    U = unfold(Q, M)
+    U = unfold(Q)
     verdict = _cross_checked(Q, U)
     if not verdict.finite:
         raise InfiniteType("quiver is of infinite representation type")

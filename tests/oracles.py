@@ -27,7 +27,7 @@ import numpy as np
 
 from fqk.errors import InconsistentVerdict, InfiniteComponent, InfiniteType, MissingAction, OutOfRange
 from fqk.module import label_matrix, module_fpdims
-from fqk.quiver import Classification, Component, _posdef, _with_module
+from fqk.quiver import Classification, Component, _posdef
 from fqk.reflect import ROOT_ENTRY_MAX, label_fpdim
 from fqk.ring import (
     INFINITY,
@@ -306,11 +306,10 @@ def global_positive_roots(nv, arrows, cap=10**6) -> frozenset:
     return frozenset(roots)
 
 
-def edge_reflect_dimvec(Q, M, v, x) -> tuple:
+def edge_reflect_dimvec(Q, v, x) -> tuple:
     """Simple reflection at v, resolving every incident edge's action matrix
-    on each call."""
-    if M is None and not Q.partial_mode:
-        M = Q.resolved_module()
+    on Q's module on each call."""
+    M = Q.resolved_module()
     new_v = np.array([-c for c in x[v]], dtype=object)
     for e in Q.edges:
         if e.source == v:
@@ -419,8 +418,7 @@ def loop_closure(Q, starts, keep, what: str, cap=10**6) -> set:
     return seen
 
 
-def loop_enumerate_by_closure(Q, M=None) -> list:
-    Q = _with_module(Q, M)
+def loop_enumerate_by_closure(Q) -> list:
     msize = len(Q.module_names())
     starts = [
         dimvec_basis(Q.nv, msize, v, tuple(1 if j == l else 0 for j in range(msize)))

@@ -456,6 +456,17 @@ class TestCLI:
         assert cli.main(["gamma", "--builtin", "s3_std_quiver"]) == 0
         assert "I2(inf)" in capsys.readouterr().out
 
+    def test_gamma_names_a_looped_two_vertex_component_infinite(self, tmp_path, capsys):
+        # tau from a to b and a unit loop at a: infinite through the loop, not
+        # through an edge of m = INFINITY, so not I2(inf)
+        path = tmp_path / "looped.json"
+        edges = [{"from": 0, "to": 1, "label": "tau"}, {"from": 0, "to": 0, "label": "1"}]
+        path.write_text(dumps({"vertices": ["a", "b"], "edges": edges, "ring": ring_to_dict(catalog.fibonacci())}))
+        assert cli.main(["gamma", "--quiver", str(path)]) == 0
+        assert capsys.readouterr().out == "infinite\n"
+        assert cli.main(["classify", "--quiver", str(path)]) == 0
+        assert "Gamma = infinite;" in capsys.readouterr().out
+
     def test_classify_fibonacci(self, capsys):
         from fqk import is_finite_type
 

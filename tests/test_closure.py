@@ -268,22 +268,20 @@ class TestReflection:
     @given(st.sampled_from(sorted(REFLECT_QUIVERS)), st.data())
     def test_matches_per_edge_oracle(self, name, data):
         Q = REFLECT_QUIVERS[name]
-        M = Q.resolved_module()
         msize = len(Q.module_names())
         entry = st.integers(-(2**70), 2**70) if data.draw(st.booleans()) else st.integers(-3, 3)
         x = tuple(
             tuple(data.draw(entry) for _ in range(msize)) for _ in range(Q.nv)
         )
         for v in range(Q.nv):
-            assert reflect_dimvec(Q, M, v, x) == edge_reflect_dimvec(Q, M, v, x)
-            assert reflect_dimvec(Q, None, v, x) == edge_reflect_dimvec(Q, None, v, x)
+            assert reflect_dimvec(Q, v, x) == edge_reflect_dimvec(Q, v, x)
 
     def test_loop_acts_once_through_its_dual(self):
         Q = loop_quivers()["sl3at5_loop"]
         X = Q.edges[0].label
         x = ((1,) + (0,) * 5, (0,) * 6)
         want = tuple(c - (k == 0) for k, c in enumerate(X.matrix[0]))
-        assert reflect_dimvec(Q, None, 0, x)[0] == want
+        assert reflect_dimvec(Q, 0, x)[0] == want
 
 
 

@@ -402,10 +402,10 @@ class TestExactness:
         fib = catalog.fibonacci()
         Q = FusionQuiver(("a", "b"), (Edge(0, 1, fib.basis("tau")),), ring=fib)
         x = ((2**64, 2**63 + 5), (7, 2**66))
-        y = reflect_dimvec(Q, None, 0, x)
+        y = reflect_dimvec(Q, 0, x)
         assert y == ((2**66 - 2**64, 7 + 2**66 - 2**63 - 5), x[1])
         assert all(type(c) is int for a in y for c in a)
-        assert reflect_dimvec(Q, None, 0, y) == x
+        assert reflect_dimvec(Q, 0, y) == x
 
 
 class TestLabelMatrix:

@@ -46,3 +46,33 @@ def test_gamma_modules_import_no_float_route(name):
 def test_enumeration_lives_in_unfold():
     for fn in (fqk.enumerate_indecomposables, fqk.fold_root, fqk.unfold_coords):
         assert fn.__module__ == "fqk.unfold"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in Path(fqk.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_every_import_is_used(path):
+    """Each name a module imports is read somewhere in that module (as a
+    name or as the root of an attribute chain); `annotations` is a
+    compiler switch, not a name."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (a.asname or a.name).partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    } - {"annotations"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, path.name
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("test_*.py")), ids=lambda p: p.stem)
+def test_no_test_file_defines_a_name_twice(path):
+    """A second class or function of the same name in one scope replaces the
+    first, and pytest then never collects the tests of the first."""
+    def twice(body):
+        names = [n.name for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
+        nested = [twice(n.body) for n in body if isinstance(n, ast.ClassDef)]
+        return {n for n in names if names.count(n) > 1}.union(*nested)
+
+    assert not twice(ast.parse(path.read_text()).body), path.name

@@ -75,8 +75,8 @@ class TestBoundary:
         "call",
         [
             lambda fib, M: FusionQuiver(("a", "b"), (Edge(0, 1, (0, 1)),), ring=fib, module=M),
-            lambda fib, M: unfold(catalog.fib_edge_quiver(), M),
-            lambda fib, M: enumerate_by_closure(catalog.fib_edge_quiver(), M),
+            lambda fib, M: unfold(replace(catalog.fib_edge_quiver(), module=M)),
+            lambda fib, M: enumerate_by_closure(replace(catalog.fib_edge_quiver(), module=M)),
             lambda fib, M: rank_two_order(fib, fib.basis("tau"), module=M),
         ],
         ids=["constructor", "unfold", "enumerate_by_closure", "rank_two_order"],
@@ -114,7 +114,27 @@ class TestBoundary:
 
     def test_explicit_module_must_fit_the_labels(self):
         with pytest.raises(OutOfRange):
-            unfold(catalog.fib_edge_quiver(), catalog.verlinde_typeD(4))
+            unfold(replace(catalog.fib_edge_quiver(), module=catalog.verlinde_typeD(4)))
+
+    @pytest.mark.parametrize("call", [unfold, enumerate_by_closure], ids=["unfold", "enumerate_by_closure"])
+    def test_module_argument_only_restates_the_quivers_own(self, call):
+        """The quiver picks its module; a module passed beside it must be
+        that module, and any other is rejected rather than acted on."""
+        Q = catalog.verlinde_l4_typeD_quiver()
+        assert call(Q, Q.resolved_module()) == call(Q, None) == call(Q)
+        assert call(Q, catalog.verlinde_typeD(4)) == call(Q)  # an equal module restates it
+        for M in (regular_module(Q.ring), regular_module(catalog.rep_s2())):
+            with pytest.raises(OutOfRange, match="acts on its own module"):
+                call(Q, M)
+
+    def test_edge_actions_are_immutable(self):
+        # a writable action would let an assignment change Gamma under an unchanged label
+        Q = catalog.fib_edge_quiver()
+        with pytest.raises(TypeError):
+            Q.edge_actions[0][1][1] = 5
+        with pytest.raises(TypeError):
+            Q.edge_actions[0][1] = (0, 0)
+        assert is_finite_type(Q).finite and coxeter_graph(Q).edges == ((0, 1, 5),)
 
     @pytest.mark.parametrize(
         "edges",

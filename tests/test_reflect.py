@@ -133,9 +133,8 @@ class TestBilinearForm:
 class TestReflectDimvec:
     def test_fibonacci_sigma_b_on_alpha_a(self):
         Q = catalog.fib_edge_quiver()
-        M = regular_module(Q.ring)
         x = dimvec_basis(2, 2, 0, Q.ring.basis("1"))
-        y = reflect_dimvec(Q, M, 1, x)
+        y = reflect_dimvec(Q, 1, x)
         assert y == ((1, 0), (0, 1))  # [1]a_a + [tau]a_b
 
     def test_isolated_vertex_negates(self):
@@ -143,27 +142,24 @@ class TestReflectDimvec:
 
         fib = catalog.fibonacci()
         Q = FusionQuiver(vertices=("a",), edges=(), ring=fib)
-        M = regular_module(fib)
         x = dimvec_basis(1, 2, 0, fib.basis("tau"))
-        assert reflect_dimvec(Q, M, 0, x) == ((0, -1),)
+        assert reflect_dimvec(Q, 0, x) == ((0, -1),)
 
     def test_order_five_orbit(self):
         Q = catalog.fib_edge_quiver()
-        M = regular_module(Q.ring)
         x = dimvec_basis(2, 2, 0, Q.ring.basis("1"))
         y = x
         for _ in range(5):
-            y = reflect_dimvec(Q, M, 0, reflect_dimvec(Q, M, 1, y))
+            y = reflect_dimvec(Q, 0, reflect_dimvec(Q, 1, y))
         assert y == x
 
     def test_involution_random_vectors(self, rng):
         for Q in BUILTIN_QUIVERS.values():
-            M = Q.resolved_module()
             msize = quiver_msize(Q)
             for _ in range(25):
                 x = random_dimvec(rng, Q, msize)
                 for v in range(Q.nv):
-                    assert reflect_dimvec(Q, M, v, reflect_dimvec(Q, M, v, x)) == x
+                    assert reflect_dimvec(Q, v, reflect_dimvec(Q, v, x)) == x
 
     def test_edge_order_relation(self, rng):
         # (sigma_v sigma_w)^(m_e) acts as the identity for finite m_e
@@ -171,21 +167,19 @@ class TestReflectDimvec:
 
         for name in FINITE_QUIVERS:
             Q = BUILTIN_QUIVERS[name]
-            M = Q.resolved_module()
             msize = quiver_msize(Q)
             for u, w, m in coxeter_graph(Q).edges:
                 for _ in range(5):
                     x = random_dimvec(rng, Q, msize)
                     y = x
                     for _ in range(m):
-                        y = reflect_dimvec(Q, M, u, reflect_dimvec(Q, M, w, y))
+                        y = reflect_dimvec(Q, u, reflect_dimvec(Q, w, y))
                     assert y == x
 
     def test_folding_equivariance(self, rng):
         # reflecting at v equals the product of unfolded reflections over the
         # fiber of v, transported through the coordinate identification
         for Q in BUILTIN_QUIVERS.values():
-            M = Q.resolved_module()
             U = unfold(Q)
             msize = len(U.mnames)
             und = {}
@@ -201,7 +195,7 @@ class TestReflectDimvec:
                         y[i] = -y[i] + sum(
                             mult * unfold_coords(x)[j] for j, mult in und.get(i, [])
                         )
-                    assert fold_root(U, tuple(y)) == reflect_dimvec(Q, M, v, x)
+                    assert fold_root(U, tuple(y)) == reflect_dimvec(Q, v, x)
 
     def test_fpdim_intertwiner(self, rng):
         for Q in BUILTIN_QUIVERS.values():
@@ -212,9 +206,23 @@ class TestReflectDimvec:
             for _ in range(10):
                 x = random_dimvec(rng, Q, M.msize)
                 for v in range(Q.nv):
-                    lhs = dimvec_fpdim(M, reflect_dimvec(Q, M, v, x), mu)
+                    lhs = dimvec_fpdim(M, reflect_dimvec(Q, v, x), mu)
                     rhs = reflect_real(Q, v, dimvec_fpdim(M, x, mu))
                     assert np.allclose(lhs, rhs, atol=1e-8)
+
+    ZERO = ((0, 0),) * 4  # fib_h4_quiver: 4 vertices, 2 module simples
+
+    @pytest.mark.parametrize(
+        "v, x, message",
+        [(-1, ZERO, "vertex -1 outside 0..3"), (4, ZERO, "vertex 4 outside 0..3"),
+         (0, ZERO[:3], "4 entries of 2"), (0, ((0,),) * 4, "4 entries of 2"),
+         (0, ZERO + ((0, 0),), "4 entries of 2"), (0, ((0, 0, 0),) * 4, "4 entries of 2")],
+        ids=["vertex_-1", "vertex_4", "three_entries", "one_coefficient", "five_entries",
+             "three_coefficients"],
+    )
+    def test_out_of_range_rejected(self, v, x, message):
+        with pytest.raises(OutOfRange, match=message):
+            reflect_dimvec(catalog.fib_h4_quiver(), v, x)
 
 
 def fibonacci_numbers(n):
@@ -519,16 +527,28 @@ class TestMatrixPower:
                 assert matrix_power_identity_check(ring, pi, k), (rkey, k)
 
     def test_order_five_power_is_identity(self):
-        from fqk.reflect import _mat2_mul, sigma_matrices
+        # over the regular module a ring element acts faithfully, so the
+        # power is the identity when it fixes both columns [1] alpha_j
+        Q = catalog.fib_edge_quiver()
+        fib = Q.ring
+        for x in ((fib.one, fib.zero()), (fib.zero(), fib.one)):
+            y = x
+            for _ in range(5):
+                y = reflect_dimvec(Q, 0, reflect_dimvec(Q, 1, y))
+            assert y == x
 
-        fib = catalog.fibonacci()
-        tau = fib.basis("tau")
-        sa, sb = sigma_matrices(fib, tau)
-        step = _mat2_mul(fib, sa, sb)
-        power = ((fib.one, fib.zero()), (fib.zero(), fib.one))
-        for _ in range(5):
-            power = _mat2_mul(fib, power, step)
-        assert power == ((fib.one, fib.zero()), (fib.zero(), fib.one))
+    @pytest.mark.parametrize("pi", [(0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0), (2, 0, 1)])
+    def test_k_up_to_ten_over_a_non_self_dual_ring(self, pi):
+        # g is not self-dual, so sigma_a reads pi* and sigma_b pi apart
+        for k in range(11):
+            assert matrix_power_identity_check(Z3, pi, k), k
+
+    @pytest.mark.parametrize("pi", [(1, -1), (-1, 2)])
+    def test_mixed_sign_label_rejected(self, pi):
+        # as in rank_two_order and x_ell_dimvec: the one-edge quiver needs a
+        # label with non-negative coefficients
+        with pytest.raises(OutOfRange, match="non-negative"):
+            matrix_power_identity_check(catalog.fibonacci(), pi, 2)
 
 
 class TestXEll:
@@ -593,7 +613,7 @@ class TestXEll:
                     assert closed not in seen, (rkey, l, ell)
                     seen.add(closed)
                     vtx = 1 if ell % 2 == 1 else 0
-                    x = reflect_dimvec(Q, M, vtx, x)
+                    x = reflect_dimvec(Q, vtx, x)
 
 
 class TestEnumerate:
@@ -701,24 +721,6 @@ def reflection_budget(monkeypatch):
 
 
 ORACLES = [enumerate_by_closure, extended_positive_roots]
-
-
-class TestReflectDimvec:
-    ZERO = ((0, 0),) * 4  # fib_h4_quiver: 4 vertices, 2 module simples
-
-    @pytest.mark.parametrize(
-        "v, x, message",
-        [(-1, ZERO, "vertex -1 outside 0..3"), (4, ZERO, "vertex 4 outside 0..3"),
-         (0, ZERO[:3], "4 entries of 2"), (0, ((0,),) * 4, "4 entries of 2"),
-         (0, ZERO + ((0, 0),), "4 entries of 2"), (0, ((0, 0, 0),) * 4, "4 entries of 2")],
-        ids=["vertex_-1", "vertex_4", "three_entries", "one_coefficient", "five_entries",
-             "three_coefficients"],
-    )
-    def test_out_of_range_rejected(self, v, x, message):
-        Q = catalog.fib_h4_quiver()
-        for M in (None, Q.resolved_module()):
-            with pytest.raises(OutOfRange, match=message):
-                reflect_dimvec(Q, M, v, x)
 
 
 class TestRootClosureCap:
