@@ -12,7 +12,6 @@ from .errors import (
     NotReflectable,
     OutOfRange,
     SignCoherenceViolation,
-    SignIncoherentInput,
 )
 from .ring import (
     FPVector,
@@ -32,11 +31,8 @@ from .module import (
     ModuleCategory,
     ModuleElement,
     OrdinaryQuiver,
-    act_on,
-    action_matrix_of,
     mckay_quiver,
     module_fpdims,
-    nonzero_action_check,
     regular_module,
     validate_module,
 )
@@ -61,25 +57,20 @@ from .unfold import (
     is_finite_type,
     positive_roots_simply_laced,
     unfold,
-    unfold_coords,
 )
 from .reflect import (
-    BilinearFormQ,
     ExtendedRootReport,
     NCPolynomial,
     SignCoherenceReport,
-    bilinear_form,
     enumerate_by_closure,
     extended_positive_roots,
     labeled_graph,
-    matrix_power_identity_check,
     qnum_free,
     qnum_in_ring,
     rank_two_order,
     real_bilinear_form,
     reflect_dimvec,
     sign_coherence,
-    x_ell_dimvec,
 )
 from . import catalog
 from .catalog import builtin, catalog_keys, catalog_kind

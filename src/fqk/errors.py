@@ -21,11 +21,6 @@ class MissingAction(FQKError):
     """An edge label cannot be resolved to an action matrix on the module."""
 
 
-class SignIncoherentInput(FQKError):
-    """An element that is neither non-negative nor non-positive where sign
-    coherence is required."""
-
-
 class SignCoherenceViolation(FQKError):
     """Quantum numbers violate the sign-coherence pattern; the ring data is
     corrupted."""

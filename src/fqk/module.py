@@ -12,10 +12,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MissingAction, OutOfRange, SignIncoherentInput
+from .errors import MissingAction, OutOfRange
 from .ring import (
     FusionRing,
-    RingElement,
     ValidationReport,
     as_int,
     combination,
@@ -164,39 +163,6 @@ def regular_module(ring: FusionRing) -> ModuleCategory:
     return M
 
 
-def action_matrix_of(M: ModuleCategory, x: RingElement):
-    """Matrix of the action of a ring element on column vectors over Irr(M),
-    as an object array of Python ints."""
-    return combination(M.tensor, x)
-
-
-def act_on(M: ModuleCategory, x: RingElement, u: ModuleElement) -> ModuleElement:
-    if len(x) != M.ring.rank or len(u) != M.msize:
-        raise ValueError("dimension mismatch in module action")
-    vec = np.array(u, dtype=object)
-    out = action_matrix_of(M, x).dot(vec)
-    return tuple(int(v) for v in out)
-
-
-# the sign class of an integer vector, indexed by 2 * has_pos + has_neg
-SIGN_CLASSES = ("zero", "negative", "positive", "incoherent")
-
-
-def sign_class(x) -> str:
-    """Classify an integer vector as positive / zero / negative / incoherent."""
-    return SIGN_CLASSES[2 * (max(x, default=0) > 0) + (min(x, default=0) < 0)]
-
-
-def nonzero_action_check(M: ModuleCategory, x: RingElement, u: ModuleElement) -> bool:
-    """Whether x annihilates u; for sign-coherent x and a nonzero object
-    class u this holds exactly when x = 0."""
-    if sign_class(x) == "incoherent":
-        raise SignIncoherentInput("x has mixed-sign coefficients")
-    if sign_class(u) != "positive":
-        raise SignIncoherentInput("u must be a nonzero object class")
-    return all(c == 0 for c in act_on(M, x, u))
-
-
 def module_fpdims(M: ModuleCategory) -> tuple:
     """Common Perron eigenvector of the action matrices, normalized so the
     smallest simple has dimension 1."""
@@ -223,7 +189,7 @@ def label_matrix(M: ModuleCategory | None, label):
         raise MissingAction("ring-element label with no module data")
     if min(label, default=0) < 0:
         raise OutOfRange(f"label {label} does not have non-negative coefficients")
-    return action_matrix_of(M, label)
+    return combination(M.tensor, label)
 
 
 def action_arrows(rows, s, t) -> list:

@@ -1,9 +1,9 @@
-"""The independent oracles: the ring-valued bilinear form of a fusion quiver,
-its real form and the float route to the Coxeter graph Gamma, the
-reflection action on dimension vectors and its closures, two-colored
-quantum numbers (free and specialized), sign coherence and the rank-two
-order.  They re-derive what the main path (ring, module, quiver, unfold)
-decides; no module on that path imports this one."""
+"""The independent oracles: the real bilinear form of a fusion quiver and
+the float route to the Coxeter graph Gamma, the reflection action on
+dimension vectors and its closures, two-colored quantum numbers (free and
+specialized), sign coherence and the rank-two order.  They re-derive what
+the main path (ring, module, quiver, unfold) decides; no module on that
+path imports this one."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import (
     OutOfRange,
     SignCoherenceViolation,
 )
-from .module import SIGN_CLASSES, ActionLabel, ModuleCategory, act_on
+from .module import ActionLabel, ModuleCategory
 from .quiver import CoxeterGraph, Edge, FusionQuiver, _check_vertex, _own_module
 from .ring import (
     FLOAT_EXACT,
@@ -36,7 +36,6 @@ from .ring import (
     fpdim_of,
     multiply,
     scale,
-    sub,
 )
 from .unfold import ROOT_CLOSURE_CAP, enumerate_indecomposables
 
@@ -50,38 +49,6 @@ FLOAT_CLIP = 2**62
 
 # DimensionVector: tuple (one entry per quiver vertex) of module-coefficient
 # tuples.  The closures hold them as int8 rows, flattened vertex-major.
-
-
-@dataclass(frozen=True)
-class BilinearFormQ:
-    ring: FusionRing
-    entries: tuple  # nv x nv matrix of RingElements
-
-    def real_matrix(self):
-        fpv = fpdim(self.ring)
-        return np.array(
-            [[fpdim_of(self.ring, e, fpv) for e in row] for row in self.entries]
-        )
-
-
-def bilinear_form(Q: FusionQuiver) -> BilinearFormQ:
-    """The ring-valued bilinear form on the vertex lattice: 2 on the
-    diagonal, minus the dual label class along an arrow, minus the label
-    class against it."""
-    if Q.partial_mode:
-        raise MissingAction(
-            "ring-valued form needs ring-element labels; use real_bilinear_form"
-        )
-    ring = Q.ring
-    two = scale(2, ring.one)
-    zero = ring.zero()
-    entries = [[two if v == w else zero for w in range(Q.nv)] for v in range(Q.nv)]
-    for e in Q.edges:
-        entries[e.source][e.target] = sub(
-            entries[e.source][e.target], ring_dual(ring, e.label)
-        )
-        entries[e.target][e.source] = sub(entries[e.target][e.source], e.label)
-    return BilinearFormQ(ring=ring, entries=tuple(tuple(r) for r in entries))
 
 
 def label_fpdim(Q: FusionQuiver, label, fpv: FPVector | None = None) -> float:
@@ -147,6 +114,8 @@ def reflect_dimvec(Q: FusionQuiver, v: int, x) -> tuple:
 
 D, DP = 0, 1  # the two non-commuting letters
 
+# the sign class of an integer vector, indexed by 2 * has_pos + has_neg
+SIGN_CLASSES = ("zero", "negative", "positive", "incoherent")
 ZERO, NEGATIVE, POSITIVE, INCOHERENT = range(4)  # indices into SIGN_CLASSES
 
 
@@ -215,6 +184,10 @@ def _qnum_rows(ring: FusionRing, pi, K: int) -> np.ndarray:
     of Python ints, by the coupled ring recursion [k+1]_d = pi [k]_d' - [k-1]_d
     and its color swap.  For a self-dual pi both letters specialize alike, so
     [k]_d = [k]_d' and one sequence serves both colors."""
+    if isinstance(pi, ActionLabel):
+        raise MissingAction("quantum numbers need a ring-element label, not an action matrix")
+    if len(pi) != ring.rank:
+        raise OutOfRange(f"a ring element has {ring.rank} coefficients, not {len(pi)}")
     # pi y = sum_i y[i] (pi S_i): entry (i, j) of pi's matrix adds P[i, j] y[i]
     # to (pi y)[j].  Each step runs over the non-zero entries only, in lists.
     pi_dual = ring_dual(ring, pi)
@@ -253,8 +226,6 @@ def _qnum_at(rows: np.ndarray, k: int, c: int) -> tuple:
 def qnum_in_ring(ring: FusionRing, pi, k: int, color: str = "d"):
     """[k] specialized at d = pi, d' = dual(pi), by direct ring recursion."""
     c = _color(color)
-    if k == 0:
-        return ring.zero()
     return _qnum_at(_qnum_rows(ring, pi, abs(k)), k, c)
 
 
@@ -364,46 +335,6 @@ def rank_two_order(ring: FusionRing | None, pi, module: ModuleCategory | None = 
     if len(set(results.values())) != 1:
         raise InconsistentVerdict(f"rank-two order methods disagree: {results}")
     return results["angle"]
-
-
-def matrix_power_identity_check(ring: FusionRing, pi, k: int) -> bool:
-    """Whether (sigma_a sigma_b)^k equals the closed-form matrix of
-    two-colored quantum numbers [[ [2k+1]', -[2k]' ], [ [2k], -[2k-1] ]].
-    sigma_a and sigma_b are reflect_dimvec on the one-edge quiver over the
-    regular module, where a ring element acts by left multiplication, a
-    faithful action: column j of the power is the image of [1] alpha_j."""
-    if k < 0:
-        raise OutOfRange("k must be non-negative")
-    Q = FusionQuiver(("a", "b"), (Edge(0, 1, pi),), ring=ring)
-
-    def power(x):
-        for _ in range(k):
-            x = reflect_dimvec(Q, 0, reflect_dimvec(Q, 1, x))
-        return x
-
-    rows = _qnum_rows(ring, pi, 2 * k + 1)
-    expected = (
-        (_qnum_at(rows, 2 * k + 1, DP), _qnum_at(rows, 2 * k, D)),
-        (_qnum_at(rows, -2 * k, DP), _qnum_at(rows, 1 - 2 * k, D)),
-    )
-    return (power((ring.one, ring.zero())), power((ring.zero(), ring.one))) == expected
-
-
-def x_ell_dimvec(ring: FusionRing, M: ModuleCategory, pi, L, ell: int):
-    """Dimension vector of the ell-th zigzag indecomposable over the one-edge
-    quiver, seeded at module simple L: the closed form in two-colored quantum
-    numbers acting on [L]."""
-    m = rank_two_order(ring, pi, module=M)
-    if ell < 1 or (m != INFINITY and ell > m):
-        raise OutOfRange(f"ell = {ell} outside 1..{m}")
-    if isinstance(L, (int, str)):
-        L = M.basis(L)
-    rows = _qnum_rows(ring, pi, ell)
-    if ell % 2 == 1:
-        coeff_a, coeff_b = _qnum_at(rows, ell, DP), _qnum_at(rows, ell - 1, D)
-    else:
-        coeff_a, coeff_b = _qnum_at(rows, ell - 1, DP), _qnum_at(rows, ell, D)
-    return (act_on(M, coeff_a, L), act_on(M, coeff_b, L))
 
 
 # ---------------------------------------------------------------------------

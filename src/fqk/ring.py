@@ -252,10 +252,6 @@ def add(x: RingElement, y: RingElement) -> RingElement:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def sub(x: RingElement, y: RingElement) -> RingElement:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def scale(c: int, x: RingElement) -> RingElement:
     return tuple(c * a for a in x)
 

@@ -228,11 +228,6 @@ def fold_root(U, root: tuple) -> tuple:
     return tuple(zip(*[iter(root)] * len(U.mnames)))
 
 
-def unfold_coords(x) -> tuple:
-    """Flatten a dimension vector to unfolded coordinates (vertex-major)."""
-    return tuple(c for a in x for c in a)
-
-
 def enumerate_indecomposables(Q: FusionQuiver):
     """Dimension vectors of all indecomposable representations of a
     finite-type quiver: positive roots of the unfolding, folded back, sorted

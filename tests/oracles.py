@@ -16,6 +16,10 @@ terms of their defining recursion below, stepped on {word: coeff} dicts.
 The component recognizer in `fqk.quiver`, which reads one adjacency map per
 vertex, must name every component as the edge-list recognizer below does,
 arm order included.
+The rank-two identities of the paper are references here too: the power
+(sigma_a sigma_b)^k against its closed form in two-colored quantum numbers,
+and the zigzag indecomposables of a one-edge quiver in closed form.  They
+read the quantum numbers through the public `qnum_in_ring`.
 """
 
 import itertools
@@ -27,18 +31,26 @@ import numpy as np
 
 from fqk.errors import InconsistentVerdict, InfiniteComponent, InfiniteType, MissingAction, OutOfRange
 from fqk.module import label_matrix, module_fpdims
-from fqk.quiver import Classification, Component, _posdef
-from fqk.reflect import ROOT_ENTRY_MAX, label_fpdim
+from fqk.quiver import Classification, Component, Edge, FusionQuiver, _posdef
+from fqk.reflect import (
+    ROOT_ENTRY_MAX,
+    SIGN_CLASSES,
+    label_fpdim,
+    qnum_in_ring,
+    rank_two_order,
+    reflect_dimvec,
+)
 from fqk.ring import (
     INFINITY,
     POWER_ITER_CAP,
     POWER_ITER_TOL,
     FPVector,
     ValidationReport,
+    combination,
     dual,
     fpdim,
-    sub,
 )
+from fqk.unfold import fold_root
 
 
 def _left_mult(ring, i):
@@ -63,6 +75,22 @@ def loop_multiply(ring, x, y) -> tuple:
                 if row[k]:
                     out[k] += c * row[k]
     return tuple(out)
+
+
+def sub(x, y) -> tuple:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def act_on(M, x, u) -> tuple:
+    """The action of ring element x on module element u, in Python ints."""
+    if len(x) != M.ring.rank or len(u) != M.msize:
+        raise ValueError("dimension mismatch in module action")
+    return tuple(int(v) for v in combination(M.tensor, x).dot(np.array(u, dtype=object)))
+
+
+def sign_class(x) -> str:
+    """Classify an integer vector as positive / zero / negative / incoherent."""
+    return SIGN_CLASSES[2 * (max(x, default=0) > 0) + (min(x, default=0) < 0)]
 
 
 def loop_qnum_pairs(ring, pi, K) -> list:
@@ -105,6 +133,58 @@ def loop_qnum_free(k, color) -> tuple:
         a = "01"[(c + n - j) % 2]  # the color of [j]: colors alternate down from [n]_c
         prev, cur = cur, free_add(prepend(a, cur), prev, -1)
     return tuple(sorted((tuple(map(int, w)), -x if k < 0 else x) for w, x in cur.items()))
+
+
+def matrix_power_identity_check(ring, pi, k: int) -> bool:
+    """Whether (sigma_a sigma_b)^k equals the closed-form matrix of
+    two-colored quantum numbers [[ [2k+1]', -[2k]' ], [ [2k], -[2k-1] ]].
+    sigma_a and sigma_b are reflect_dimvec on the one-edge quiver over the
+    regular module, where a ring element acts by left multiplication, a
+    faithful action: column j of the power is the image of [1] alpha_j."""
+    if k < 0:
+        raise OutOfRange("k must be non-negative")
+    Q = FusionQuiver(("a", "b"), (Edge(0, 1, pi),), ring=ring)
+
+    def power(x):
+        for _ in range(k):
+            x = reflect_dimvec(Q, 0, reflect_dimvec(Q, 1, x))
+        return x
+
+    expected = (
+        (qnum_in_ring(ring, pi, 2 * k + 1, "d'"), qnum_in_ring(ring, pi, 2 * k)),
+        (qnum_in_ring(ring, pi, -2 * k, "d'"), qnum_in_ring(ring, pi, 1 - 2 * k)),
+    )
+    return (power((ring.one, ring.zero())), power((ring.zero(), ring.one))) == expected
+
+
+def x_ell_dimvec(ring, M, pi, L, ell: int) -> tuple:
+    """Dimension vector of the ell-th zigzag indecomposable over the one-edge
+    quiver, seeded at module simple L: the closed form in two-colored quantum
+    numbers acting on [L]."""
+    m = rank_two_order(ring, pi, module=M)
+    if ell < 1 or (m != INFINITY and ell > m):
+        raise OutOfRange(f"ell = {ell} outside 1..{m}")
+    if isinstance(L, (int, str)):
+        L = M.basis(L)
+    odd = ell % 2  # [ell]' at a and [ell-1] at b for odd ell, [ell-1]' and [ell] for even
+    coeff_a = qnum_in_ring(ring, pi, ell - 1 + odd, "d'")
+    coeff_b = qnum_in_ring(ring, pi, ell - odd)
+    return act_on(M, coeff_a, L), act_on(M, coeff_b, L)
+
+
+def unfolded_reflect_dimvec(U, v, x) -> tuple:
+    """Simple reflection at v through the unfolding U of its quiver: each
+    unfolded vertex (v, L) is reflected along U's arrows, in the dimension
+    vector x flattened vertex-major, and the result is folded back."""
+    flat = [c for a in x for c in a]
+    fiber = range(v * len(U.mnames), (v + 1) * len(U.mnames))
+    y = [-c if i in fiber else c for i, c in enumerate(flat)]
+    for s, t, mult in U.arrows:
+        if s in fiber:
+            y[s] += mult * flat[t]
+        if t in fiber:
+            y[t] += mult * flat[s]
+    return fold_root(U, tuple(y))
 
 
 def loop_extended_orbits(ring, phi_plus) -> tuple:

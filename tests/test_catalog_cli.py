@@ -17,7 +17,6 @@ from fqk import (
     catalog_keys,
     catalog_kind,
     builtin,
-    fpdim,
     mckay_quiver,
     multiply,
     regular_module,

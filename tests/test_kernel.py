@@ -19,7 +19,6 @@ from fqk import (
     MissingAction,
     ModuleCategory,
     SignCoherenceViolation,
-    act_on,
     catalog,
     extended_positive_roots,
     fpdim,
@@ -32,11 +31,12 @@ from fqk import (
     validate,
     validate_module,
 )
-from fqk.module import label_matrix, sign_class
+from fqk.module import label_matrix
 from fqk.ring import FLOAT_EXACT, wide
 
 from conftest import Z3
 from oracles import (
+    act_on,
     loop_extended_orbits,
     loop_fpdim,
     loop_module_fpdims,
@@ -44,6 +44,7 @@ from oracles import (
     loop_qnum_pairs,
     loop_validate,
     loop_validate_module,
+    sign_class,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -9,6 +9,7 @@ import pytest
 import fqk
 
 MAIN_PATH = ("ring", "module", "quiver", "unfold", "io", "catalog")
+PACKAGE, TESTS = Path(fqk.__file__).parent, Path(__file__).parent
 
 
 def _imported_modules(tree):
@@ -26,7 +27,7 @@ def _imported_modules(tree):
 
 @pytest.mark.parametrize("name", MAIN_PATH)
 def test_main_path_does_not_import_reflect(name):
-    path = Path(fqk.__file__).parent / f"{name}.py"
+    path = PACKAGE / f"{name}.py"
     imported = set(_imported_modules(ast.parse(path.read_text())))
     assert not imported & {".reflect", "fqk.reflect"}, name
 
@@ -38,19 +39,21 @@ FLOAT_ROUTE = {"angle_label", "fpdim", "fpdim_of", "perron_eigenpair", "label_fp
 def test_gamma_modules_import_no_float_route(name):
     """Gamma's modules build it from integer actions only: they import none
     of the FP-dimension functions."""
-    path = Path(fqk.__file__).parent / f"{name}.py"
+    path = PACKAGE / f"{name}.py"
     imported = {m.rpartition(".")[2] for m in _imported_modules(ast.parse(path.read_text()))}
     assert not imported & FLOAT_ROUTE, name
 
 
 def test_enumeration_lives_in_unfold():
-    for fn in (fqk.enumerate_indecomposables, fqk.fold_root, fqk.unfold_coords):
+    for fn in (fqk.enumerate_indecomposables, fqk.fold_root):
         assert fn.__module__ == "fqk.unfold"
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in Path(fqk.__file__).parent.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.stem,
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py")) + [TESTS / "golden" / "make.py"],
+    ids=lambda p: p.stem if p.parent == PACKAGE else str(p.relative_to(TESTS.parent)),
 )
 def test_every_import_is_used(path):
     """Each name a module imports is read somewhere in that module (as a
@@ -76,3 +79,41 @@ def test_no_test_file_defines_a_name_twice(path):
         return {n for n in names if names.count(n) > 1}.union(*nested)
 
     assert not twice(ast.parse(path.read_text()).body), path.name
+
+
+# exports that no other package module reads: result types callers inspect,
+# the oracles and layer entry points the tests and perfbench call, and the
+# BGP reflection of quivers
+OWN_EXPORTS = {
+    "RingElement", "ModuleElement", "OrdinaryQuiver", "Component", "FiniteTypeVerdict", "UnfoldedQuiver",
+    "ExtendedRootReport", "SignCoherenceReport", "NCPolynomial",
+    "module_fpdims", "fold_root", "enumerate_by_closure", "extended_positive_roots",
+    "qnum_in_ring", "reflect_dimvec", "real_bilinear_form",
+    "labeled_graph", "positive_roots_simply_laced",
+    "admissible_sink_ordering", "reflect_quiver",
+}
+
+
+def test_no_test_only_exports():
+    """Every name the package exports is read by a package module other than
+    the one that defines it, or is one of OWN_EXPORTS."""
+    exports = {
+        a.asname or a.name: node.module or a.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    read = {  # per module: every name it reads, as a name, an attribute or an import
+        path.stem: {
+            node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        }
+        for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+    }
+    unread = {
+        name for name, home in exports.items()
+        if not any(name in names for stem, names in read.items() if stem != home)
+    }
+    assert unread == OWN_EXPORTS

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,13 +5,10 @@ from fqk import (
     ActionLabel,
     ModuleCategory,
     OutOfRange,
-    SignIncoherentInput,
-    act_on,
     catalog,
     fpdim,
     mckay_quiver,
     module_fpdims,
-    nonzero_action_check,
     regular_module,
     unfold,
     validate_module,
@@ -21,6 +16,7 @@ from fqk import (
 from fqk.ring import perron_eigenpair, wide
 
 from conftest import BUILTIN_MODULES, BUILTIN_RINGS
+from oracles import act_on
 
 
 def all_modules():
@@ -127,40 +123,6 @@ class TestActOn:
                 assert act_on(M, multiply(M.ring, x, y), u) == act_on(
                     M, x, act_on(M, y, u)
                 )
-
-
-class TestNonzeroActionCheck:
-    def test_tau_on_unit_nonzero(self):
-        fib = catalog.fibonacci()
-        M = regular_module(fib)
-        assert nonzero_action_check(M, fib.basis("tau"), M.basis("1")) is False
-
-    def test_zero_annihilates(self):
-        fib = catalog.fibonacci()
-        M = regular_module(fib)
-        assert nonzero_action_check(M, fib.zero(), M.basis("tau")) is True
-
-    def test_level_top_on_fork(self):
-        M = catalog.verlinde_typeD(4)
-        v4 = M.ring.basis("V4")
-        assert nonzero_action_check(M, v4, M.basis("L+")) is False
-
-    def test_only_zero_annihilates(self, rng):
-        from conftest import random_element
-
-        for M in all_modules().values():
-            for _ in range(20):
-                x = random_element(rng, M.ring.rank)
-                u = random_element(rng, M.msize, 0, 2)
-                if not any(u):
-                    continue
-                assert nonzero_action_check(M, x, u) == (not any(x))
-
-    def test_incoherent_input_rejected(self):
-        fib = catalog.fibonacci()
-        M = regular_module(fib)
-        with pytest.raises(SignIncoherentInput):
-            nonzero_action_check(M, (1, -1), M.basis("1"))
 
 
 class TestModuleFPdims:

@@ -151,12 +151,12 @@ class TestBoundary:
             CoxeterGraph(("a", "b"), edges)
 
     def test_built_quiver_resolves_no_action_again(self, monkeypatch):
-        import fqk.module
+        import fqk.quiver
 
         Q = catalog.fib_h4_quiver()
-        calls, real = [], fqk.module.action_matrix_of
+        calls, real = [], fqk.quiver.label_matrix
         monkeypatch.setattr(
-            fqk.module, "action_matrix_of", lambda *a: calls.append(1) or real(*a)
+            fqk.quiver, "label_matrix", lambda *a: calls.append(1) or real(*a)
         )
         is_finite_type(Q)
         enumerate_indecomposables(Q)

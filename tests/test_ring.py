@@ -5,6 +5,7 @@ import pytest
 from fqk import (
     FusionRing,
     InvalidDimension,
+    NonConvergence,
     OutOfRange,
     angle_label,
     catalog,
@@ -14,11 +15,11 @@ from fqk import (
     multiply,
     regular_module,
     validate,
-    x_ell_dimvec,
 )
 from fqk.ring import INFINITY, wide
 
 from conftest import BUILTIN_RINGS, random_element
+from oracles import x_ell_dimvec
 
 
 def corrupted_fibonacci():
@@ -178,6 +179,17 @@ class TestFPdim:
                     assert val >= 1 - 1e-9
                 else:
                     assert val == 0.0
+
+    def test_power_iteration_gives_up_at_its_cap(self, monkeypatch):
+        # unvalidated data: x x = 1 - 10x makes the shifted sum of the
+        # multiplication matrices have a dominant negative eigenvalue, so the
+        # iterates flip sign forever; at the real cap of 10**6 this takes seconds
+        import fqk.ring
+
+        ring = FusionRing.from_data(("1", "x"), 0, (((1, 0), (0, 1)), ((0, 1), (1, -10))))
+        monkeypatch.setattr(fqk.ring, "POWER_ITER_CAP", 1000)
+        with pytest.raises(NonConvergence, match="within 1000 iterations"):
+            fpdim(ring)
 
 
 class TestAngleLabel:

@@ -1,16 +1,13 @@
-import math
 import sys
 
 import pytest
 
 from fqk import (
-    InconsistentVerdict,
     InfiniteComponent,
     catalog,
     components,
     enumerate_indecomposables,
     fpdim,
-    fpdim_of,
     is_finite_type,
     module_fpdims,
     positive_roots_simply_laced,
@@ -18,7 +15,6 @@ from fqk import (
 )
 from fqk.module import OrdinaryQuiver
 from fqk.reflect import label_fpdim
-from fqk.ring import INFINITY
 
 from conftest import BUILTIN_QUIVERS, FINITE_QUIVERS
 
