@@ -37,7 +37,7 @@ from .ring import (
     multiply,
     scale,
 )
-from .unfold import ROOT_CLOSURE_CAP, enumerate_indecomposables
+from .unfold import ROOT_CLOSURE_CAP, _sorted_dimvecs, enumerate_indecomposables
 
 # Gabriel: no positive root of an A/D/E quiver has an entry above 6, the
 # largest coefficient of the highest root of E8
@@ -48,7 +48,8 @@ ROOT_ENTRY_MAX = 6
 FLOAT_CLIP = 2**62
 
 # DimensionVector: tuple (one entry per quiver vertex) of module-coefficient
-# tuples.  The closures hold them as int8 rows, flattened vertex-major.
+# tuples.  The closures hold them as int8 rows, flattened vertex-major, and
+# turn them into tuples through unfold's one converter, _sorted_dimvecs.
 
 
 def label_fpdim(Q: FusionQuiver, label, fpv: FPVector | None = None) -> float:
@@ -403,13 +404,6 @@ def _closure(Q, starts, positive: bool, what: str) -> np.ndarray:
     return np.concatenate(levels)
 
 
-def _dimvecs(rows, nv: int, m: int) -> list:
-    """Flattened rows as sorted tuple-of-tuples dimension vectors."""
-    if rows.size:  # lexsort needs a column
-        rows = rows[np.lexsort(rows.T[::-1])]
-    return [tuple(map(tuple, x)) for x in rows.reshape(len(rows), nv, m).tolist()]
-
-
 def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None):
     """Independent enumeration oracle: reflection closure of the simple
     dimension vectors [L] alpha_v directly in the module-coefficient lattice
@@ -418,7 +412,7 @@ def enumerate_by_closure(Q: FusionQuiver, M: ModuleCategory | None = None):
     _own_module(Q, M)
     msize = len(Q.module_names())
     starts = np.eye(Q.nv * msize, dtype=np.int8)
-    return _dimvecs(_closure(Q, starts, True, "closure"), Q.nv, msize)
+    return _sorted_dimvecs(_closure(Q, starts, True, "closure"), msize)
 
 
 @dataclass(frozen=True)
@@ -441,7 +435,7 @@ def extended_positive_roots(Q: FusionQuiver) -> ExtendedRootReport:
     starts[np.arange(Q.nv), np.arange(Q.nv)] = ring.one
     orbit = _closure(Q, starts, False, "orbit closure")
     positives = orbit[(orbit >= 0).all(axis=1) & orbit.any(axis=1)]
-    phi_plus = _dimvecs(positives, Q.nv, ring.rank)
+    phi_plus = _sorted_dimvecs(positives, ring.rank)
 
     # row l of a coefficient's matrix is its product with S_l
     matrices = {c: combination(ring.tensor, c).tolist() for c in set().union(*phi_plus)}

@@ -236,12 +236,17 @@ def enumerate_indecomposables(Q: FusionQuiver):
     verdict = _cross_checked(Q, U)
     if not verdict.finite:
         raise InfiniteType("quiver is of infinite representation type")
-    roots = _root_array(U, verdict.unfolded)
-    if not len(roots):  # a quiver without vertices: no block to rank, no key to sort by
-        return []
-    # one tuple per distinct block. Ranks order blocks as tuples do and roots run vertex-major,
-    # so the sorted rows of ranks give the sorted folds, gathered 2**16 blocks at a time
-    distinct, ranks = _lex_ranks(roots.reshape(len(roots), -1, len(U.mnames)))
+    return _sorted_dimvecs(_root_array(U, verdict.unfolded), len(U.mnames))
+
+
+def _sorted_dimvecs(rows, m: int) -> list:
+    """int8 rows, flattened vertex-major with m coefficients per block, as sorted
+    tuple-of-tuples dimension vectors in which equal blocks are one tuple.  Ranks
+    order blocks as tuples do, so the sorted rows of ranks give the sorted
+    vectors, gathered 2**16 blocks at a time."""
+    if not rows.size:  # rows without blocks, or no row: nothing to rank or sort
+        return [()] * len(rows)
+    distinct, ranks = _lex_ranks(rows.reshape(len(rows), -1, m))
     shared = np.fromiter(map(tuple, distinct.tolist()), dtype=object, count=len(distinct))
     parts = np.array_split(ranks[np.lexsort(ranks.T[::-1])], 1 + (ranks.size >> 16))
     return [x for part in parts for x in map(tuple, shared[part].tolist())]

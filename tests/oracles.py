@@ -11,6 +11,9 @@ shadow.  The batched closure oracles in `fqk.reflect` must return what the
 vector-by-vector closure below returns, or raise the same error, and its
 batched rank-two orbit the sizes of the one-simple-at-a-time orbit below.
 Both run on the tuple reflection here, not on any reflection of `fqk.reflect`.
+The converter from int8 root rows to dimension vectors in `fqk.unfold`,
+which ranks blocks and shares one tuple per distinct block, must give the
+vectors of the lexsort of whole rows below.
 The closed form of the free quantum numbers in `fqk.reflect` must give the
 terms of their defining recursion below, stepped on {word: coeff} dicts.
 The component recognizer in `fqk.quiver`, which reads one adjacency map per
@@ -506,6 +509,14 @@ def loop_enumerate_by_closure(Q) -> list:
         for l in range(msize)
     ]
     return sorted(loop_closure(Q, starts, _is_positive, "closure"))
+
+
+def loop_dimvecs(rows, nv: int, m: int) -> list:
+    """int8 rows, flattened vertex-major, as sorted tuple-of-tuples dimension
+    vectors: a lexsort of the whole rows, then a new tuple for every block."""
+    if rows.size:  # lexsort needs a column
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return [tuple(map(tuple, x)) for x in rows.reshape(len(rows), nv, m).tolist()]
 
 
 def loop_extended_positive_roots(Q) -> tuple:

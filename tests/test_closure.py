@@ -39,12 +39,13 @@ from fqk.io import quiver_from_dict, quiver_to_dict
 from fqk.module import OrdinaryQuiver
 from fqk.reflect import ROOT_ENTRY_MAX, _orbit_sizes
 from fqk.ring import FLOAT_EXACT
-from fqk.unfold import ADE_ROOT_COUNTS, _type_table, fold_root
+from fqk.unfold import ADE_ROOT_COUNTS, _sorted_dimvecs, _type_table, fold_root
 
 from conftest import BUILTIN_QUIVERS, BUILTIN_RINGS, FINITE_QUIVERS
 from oracles import (
     edge_reflect_dimvec,
     global_positive_roots,
+    loop_dimvecs,
     loop_enumerate_by_closure,
     loop_extended_positive_roots,
     loop_orbit_sizes,
@@ -224,9 +225,35 @@ def fold_edge_cases():
 FOLD_CASES = {**{name: BUILTIN_QUIVERS[name] for name in FINITE_QUIVERS}, **fold_edge_cases()}
 
 
+# the three callers of the one converter from root rows to dimension vectors
+CONVERTER_CALLERS = {
+    "main": enumerate_indecomposables,
+    "closure": enumerate_by_closure,
+    "extended": lambda Q: extended_positive_roots(Q).phi_plus,
+}
+
+
+@st.composite
+def flat_rows(draw):
+    """(rows, nv, m): int8 rows of nv blocks of m entries in 0..6.  Blocks
+    often come from a small pool that holds the zero block, and the second
+    half of the rows repeats rows of the first, so equal blocks and equal
+    rows are common."""
+    nv, m = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    block = st.tuples(*[st.integers(0, 6)] * m)
+    pool = draw(st.lists(block, max_size=3)) + [(0,) * m]
+    row = st.lists(st.one_of(st.sampled_from(pool), block), min_size=nv, max_size=nv)
+    rows = draw(st.lists(row, max_size=20))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=20)) if rows else []
+    return np.array(rows, dtype=np.int8).reshape(len(rows), nv * m), nv, m
+
+
 class TestSortedFold:
-    """enumerate_indecomposables sorts and folds the root array in numpy;
-    the public per-root route is its reference."""
+    """enumerate_indecomposables, enumerate_by_closure and
+    extended_positive_roots turn int8 root rows into sorted dimension vectors
+    through one converter, which ranks blocks in numpy and shares one tuple
+    per distinct block; the public per-root route and the lexsort of whole
+    rows in `oracles.py` are its references."""
 
     @pytest.mark.parametrize("name", FOLD_CASES)
     def test_matches_public_route(self, name):
@@ -235,8 +262,20 @@ class TestSortedFold:
         assert enumerate_indecomposables(Q) == sorted(fold_root(U, r) for r in positive_roots_simply_laced(U))
 
     @pytest.mark.parametrize("name", FOLD_CASES)
-    def test_equal_blocks_are_one_object(self, name):
-        out = enumerate_indecomposables(FOLD_CASES[name])
+    @pytest.mark.parametrize("caller", CONVERTER_CALLERS)
+    def test_equal_blocks_are_one_object(self, caller, name):
+        Q = FOLD_CASES[name]
+        if caller == "extended" and Q.partial_mode:
+            pytest.skip("extended roots need full-ring mode")
+        out = CONVERTER_CALLERS[caller](Q)
+        assert len({id(b) for x in out for b in x}) == len({b for x in out for b in x})
+
+    @PROPERTY
+    @given(flat_rows())
+    def test_converter_matches_whole_row_sort(self, case):
+        rows, nv, m = case
+        out = _sorted_dimvecs(rows, m)
+        assert out == loop_dimvecs(rows, nv, m)
         assert len({id(b) for x in out for b in x}) == len({b for x in out for b in x})
 
     def test_edge_case_counts(self):
