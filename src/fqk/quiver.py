@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InconsistentVerdict, MissingAction, NotReflectable, OutOfRange
 from .module import (
     ActionLabel,
@@ -256,15 +254,30 @@ class Classification:
         return sum(c.positive_root_count for c in self.components)
 
 
-def _posdef(gram) -> bool:
-    """Positive definiteness by one Cholesky (LDL^T) factorization, whose
-    pivots are the squares of L's diagonal; a pivot below TOL counts as not
-    positive definite (an affine graph's last pivot is 0 up to rounding)."""
-    try:
-        L = np.linalg.cholesky(np.array(gram, dtype=float))
-    except np.linalg.LinAlgError:  # a pivot <= 0
+def _posdef(comp, adj):
+    """Positive definiteness of the form with 2 on the diagonal and -f at each
+    edge, f = 2cos(pi/m) (2 for m = INFINITY), on the component `comp` of the
+    {neighbour: m} maps `adj`: True, False, or None when the deciding pivot is
+    within TOL of 0. A loop or cycle (degree sum not 2(n - 1)) is False: f >= 1
+    for m >= 3 puts the form <= 0 on the indicator of the loop vertex or of a
+    shortest cycle. A tree's leaves are eliminated inwards, with no fill-in, in
+    O(n): pivot_v = 2 - sum f^2/pivot_c over the eliminated neighbours c."""
+    deg = {v: len(adj[v]) for v in comp}
+    if sum(deg.values()) != 2 * (len(comp) - 1):
         return False
-    return bool(np.diagonal(L).min() ** 2 >= TOL)
+    pivot = dict.fromkeys(comp, 2.0)
+    leaves = [v for v in comp if deg[v] <= 1]
+    for c in leaves:  # grows as inner vertices become leaves
+        if (d := pivot[c]) < TOL:  # the first decides: a D~4 centre's is 0.0, an affine end's ~0
+            return None if d > -TOL else False
+        deg[c] = 0
+        for w, m in adj[c].items():
+            if deg[w]:
+                pivot[w] -= (2 * math.cos(math.pi / m)) ** 2 / d
+                deg[w] -= 1
+                if deg[w] == 1:
+                    leaves.append(w)
+    return True
 
 
 def _coxeter_pattern(comp, adj):
@@ -369,24 +382,21 @@ def simply_laced_components(n, arrows):
 
 def classify_coxeter(G: CoxeterGraph) -> Classification:
     """Classify each connected component of a Coxeter graph as a named finite
-    type or infinite, cross-checking the pattern match against positive
-    definiteness of the associated symmetric form."""
+    type or infinite, cross-checked by _posdef; OutOfRange where its pivots
+    are too close to 0 to confirm a finite type (I2(m), m >= 140,497)."""
     adj = [{} for _ in G.vertices]
     for u, v, m in G.edges:
         adj[u][v] = adj[v][u] = m
     out = []
     for comp in _connected_components(adj):
-        idx = {v: i for i, v in enumerate(comp)}
-        gram = 2.0 * np.eye(len(comp))
-        for u in comp:
-            for v, m in adj[u].items():
-                f = 2.0 if m == INFINITY else 2 * math.cos(math.pi / m)
-                gram[idx[u], idx[v]] -= f * (1 + (u == v))  # a loop: twice on the diagonal
-        c = _component(comp, adj)
-        if c.finite != _posdef(gram):
-            raise InconsistentVerdict(
-                f"pattern match and positive definiteness disagree on {comp}"
+        c, posdef = _component(comp, adj), _posdef(comp, adj)
+        if c.finite and posdef is None:
+            raise OutOfRange(
+                f"{c.type_name} on {comp}: a pivot of its form is within TOL = {TOL:g} of 0, "
+                "past the resolution of the positive-definiteness cross-check"
             )
+        if c.finite != bool(posdef):
+            raise InconsistentVerdict(f"pattern match and positive definiteness disagree on {comp}")
         out.append(c)
     return Classification(components=tuple(out))
 

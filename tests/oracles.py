@@ -18,7 +18,9 @@ The closed form of the free quantum numbers in `fqk.reflect` must give the
 terms of their defining recursion below, stepped on {word: coeff} dicts.
 The component recognizer in `fqk.quiver`, which reads one adjacency map per
 vertex, must name every component as the edge-list recognizer below does,
-arm order included.
+arm order included, and its positive-definiteness cross-check, a leaf
+elimination over those maps, must decide as a dense Cholesky factorization
+of the Gram matrix below does.
 The rank-two identities of the paper are references here too: the power
 (sigma_a sigma_b)^k against its closed form in two-colored quantum numbers,
 and the zigzag indecomposables of a one-edge quiver in closed form.  They
@@ -34,7 +36,7 @@ import numpy as np
 
 from fqk.errors import InconsistentVerdict, InfiniteComponent, InfiniteType, MissingAction, OutOfRange
 from fqk.module import label_matrix, module_fpdims
-from fqk.quiver import Classification, Component, Edge, FusionQuiver, _posdef
+from fqk.quiver import Classification, Component, Edge, FusionQuiver
 from fqk.reflect import (
     ROOT_ENTRY_MAX,
     SIGN_CLASSES,
@@ -47,6 +49,7 @@ from fqk.ring import (
     INFINITY,
     POWER_ITER_CAP,
     POWER_ITER_TOL,
+    TOL,
     FPVector,
     ValidationReport,
     combination,
@@ -639,10 +642,22 @@ def edge_list_simply_laced_components(n, arrows) -> list:
     ]
 
 
-def edge_list_classify_coxeter(G) -> Classification:
-    """quiver.classify_coxeter from the edge list of a Coxeter graph, with the
-    same positive-definiteness cross-check."""
-    out = []
+def dense_posdef(gram) -> bool:
+    """The dense reference for quiver._posdef: positive definiteness by one
+    Cholesky (LDL^T) factorization, whose pivots are the squares of L's
+    diagonal; a pivot below TOL counts as not positive definite (an affine
+    graph's last pivot is 0 up to rounding)."""
+    try:
+        L = np.linalg.cholesky(np.array(gram, dtype=float))
+    except np.linalg.LinAlgError:  # a pivot <= 0
+        return False
+    return bool(np.diagonal(L).min() ** 2 >= TOL)
+
+
+def edge_list_grams(G):
+    """(vertices, edges, Gram matrix) for each component of a Coxeter graph,
+    from its edge list: 2 on the diagonal, -2cos(pi/m) at each edge (-2 at
+    m = INFINITY), and a loop twice on the diagonal."""
     for comp, sub in _edge_list_components(len(G.vertices), G.edges):
         idx = {v: i for i, v in enumerate(comp)}
         gram = [[2.0 if i == j else 0.0 for j in comp] for i in comp]
@@ -650,8 +665,16 @@ def edge_list_classify_coxeter(G) -> Classification:
             f = 2.0 if m == INFINITY else 2 * math.cos(math.pi / m)
             gram[idx[u]][idx[v]] -= f
             gram[idx[v]][idx[u]] -= f
+        yield comp, sub, gram
+
+
+def edge_list_classify_coxeter(G) -> Classification:
+    """quiver.classify_coxeter from the edge list of a Coxeter graph, with the
+    dense Cholesky in place of its positive-definiteness cross-check."""
+    out = []
+    for comp, sub, gram in edge_list_grams(G):
         c = _edge_list_component(comp, sub)
-        if c.finite != _posdef(gram):
+        if c.finite != dense_posdef(gram):
             raise InconsistentVerdict(f"pattern match and positive definiteness disagree on {comp}")
         out.append(c)
     return Classification(tuple(out))

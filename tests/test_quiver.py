@@ -1,10 +1,9 @@
-import math
 import random
 import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fqk import (
     ActionLabel,
@@ -29,11 +28,12 @@ from fqk import (
     regular_module,
     unfold,
 )
+import fqk.quiver
 from fqk.quiver import CoxeterGraph, _label_order, _posdef, simply_laced_components
 from fqk.ring import INFINITY, angle_label, fpdim
 
 from conftest import BUILTIN_QUIVERS
-from oracles import edge_list_classify_coxeter, edge_list_simply_laced_components
+from oracles import dense_posdef, edge_list_classify_coxeter, edge_list_grams, edge_list_simply_laced_components
 
 IDENTITY3 = ActionLabel.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -399,6 +399,23 @@ class TestClassifier:
             assert not cls.finite, g
             assert cls.total_root_count() == INFINITY, g
 
+    @pytest.mark.parametrize(
+        "graph,named",
+        [(path_graph([5, 3, 5]), ("H4", 30, (0, 1, 2, 3))), (path_graph([3, 3, 3]), None)],
+        ids=["infinite-named-finite", "A4-named-infinite"],
+    )
+    def test_cross_check_fires(self, monkeypatch, graph, named):
+        monkeypatch.setattr(fqk.quiver, "_coxeter_pattern", lambda comp, adj: named)
+        with pytest.raises(InconsistentVerdict, match="disagree on"):
+            classify_coxeter(graph)
+
+    def test_i2_past_the_cross_checks_resolution(self):
+        # the pivot 2sin^2(pi/m) of I2(m) falls below TOL = 1e-9 from m = 140,497
+        assert classify_coxeter(path_graph([140496])).type_names() == ("I2(140496)",)
+        for m in (140497, 10**6):
+            with pytest.raises(OutOfRange, match="within TOL = 1e-09 of 0"):
+                classify_coxeter(path_graph([m]))
+
     def test_random_trees_two_deciders_agree(self):
         # classify_coxeter raises InconsistentVerdict if the pattern match
         # and the positive-definiteness test ever disagree
@@ -487,14 +504,13 @@ class TestRecognizerAgainstEdgeLists:
             assert classify_coxeter(G) == want
 
 
-def gram(graph):
-    """The symmetric form of a Coxeter graph: 2 on the diagonal, -2cos(pi/m)
-    at each edge."""
-    n = len(graph.vertices)
-    g = [[2.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+def adjacency(graph):
+    """The {neighbour: m} map of each vertex of a Coxeter graph, as
+    classify_coxeter builds it."""
+    adj = [{} for _ in graph.vertices]
     for u, v, m in graph.edges:
-        g[u][v] = g[v][u] = -2 * math.cos(math.pi / m)
-    return g
+        adj[u][v] = adj[v][u] = m
+    return adj
 
 
 def cycle(n):
@@ -566,8 +582,15 @@ class TestFloatRoute:
 
 
 class TestPosdef:
-    """The one-pass Cholesky (LDL^T) test: an affine graph's last pivot is 0
-    up to rounding, and the smallest finite pivot (I2(1000)) is about 2e-5."""
+    """The leaf elimination over the adjacency maps against the dense
+    Cholesky in oracles.py: an affine graph's last pivot is 0 up to rounding,
+    and the smallest finite pivot (I2(1000)) is about 2e-5."""
+
+    @staticmethod
+    def both(graph):
+        """(leaf elimination, dense Cholesky) on a connected graph."""
+        [(comp, _, gram)] = edge_list_grams(graph)
+        return _posdef(comp, adjacency(graph)), dense_posdef(gram)
 
     @pytest.mark.parametrize(
         "graph",
@@ -576,7 +599,7 @@ class TestPosdef:
         ids=[f"A~{n}" for n in range(2, 8)] + [f"D~{n}" for n in range(4, 9)] + ["E~6", "E~7", "E~8"],
     )
     def test_affine_not_positive_definite(self, graph):
-        assert not _posdef(gram(graph))
+        assert not any(self.both(graph))
 
     @pytest.mark.parametrize(
         "graph",
@@ -585,7 +608,33 @@ class TestPosdef:
         ids=["A200", "E8", "H4", "F4"] + [f"I2({m})" for m in (3, 5, 7, 12, 100, 1000)],
     )
     def test_finite_positive_definite(self, graph):
-        assert _posdef(gram(graph))
+        assert self.both(graph) == (True, True)
+
+    def test_zero_pivot_is_not_divided_by(self):
+        # four leaves put the centre's pivot at exactly 2 - 4 * 1/2 = 0.0 while a
+        # fifth arm is still attached; the first pivot below TOL decides
+        g = star([1, 1, 1, 1, 2])
+        assert self.both(g) == (None, False)
+        assert not classify_coxeter(g).finite
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, INFINITY])
+    def test_loop_or_cycle_is_false_with_no_pivot(self, m):
+        loop = CoxeterGraph(("a", "b"), ((0, 1, 3), (1, 1, m)))
+        triangle = CoxeterGraph(("a", "b", "c"), ((0, 1, m), (1, 2, 3), (0, 2, 3)))
+        for g in (loop, triangle):
+            assert self.both(g) == (False, False)
+
+    @PROPERTY
+    @given(coxeter_graphs())
+    @example(path_graph([140496])).via("the last I2 whose pivot is >= TOL")
+    @example(path_graph([140497])).via("a positive pivot below TOL")
+    def test_matches_dense_cholesky(self, G):
+        """Per component, with loops, cycles and m in {3, 4, 5, 6, 7, 12, INFINITY};
+        the affine graphs' last pivots round below 0, so only an I2 tells the
+        TOL test from a sign test."""
+        adj = adjacency(G)
+        for comp, _, gram in edge_list_grams(G):
+            assert bool(_posdef(comp, adj)) == dense_posdef(gram), comp
 
 
 class TestSinkOrdering:
